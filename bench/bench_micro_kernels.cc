@@ -1,7 +1,8 @@
 // Kernel microbenchmarks backing the complexity analysis of Sec. IV-F and
 // the performance playbook (docs/PERFORMANCE.md): SpMM (the GMAE
 // propagation kernel), dense MatMul (the projection kernel — naive
-// reference vs the blocked/parallel kernel, with a thread sweep), GAT
+// reference vs the blocked/parallel kernel, with a thread sweep), the
+// tape's gradient products (MatMulTransA / MatMulTransB), GAT
 // attention, RWR sampling, AUC, and the threshold selector.
 //
 // Thread-sweep benches take the lane count as their argument and resize the
@@ -122,6 +123,44 @@ void BM_MatMul512(benchmark::State& state) {
   SetNumThreads(prev_threads);
 }
 BENCHMARK(BM_MatMul512)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// The training tape's gradient products, 16000 rows at widths 32 and 48.
+// Weight gradient A^T G, (16000 x ka)^T * (16000 x n), across pool sizes.
+void BM_MatMulTransA(benchmark::State& state) {
+  const int ka = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const int prev_threads = NumThreads();
+  SetNumThreads(static_cast<int>(state.range(2)));
+  Rng rng(7);
+  Tensor a = RandomNormal(16000, ka, 0, 1, &rng);
+  Tensor g = RandomNormal(16000, n, 0, 1, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransA(a, g));
+  }
+  SetMatMulCounters(state, ka, 16000, n);
+  SetNumThreads(prev_threads);
+}
+BENCHMARK(BM_MatMulTransA)
+    ->Args({32, 48, 1})
+    ->Args({48, 32, 1})
+    ->Args({32, 48, 4})
+    ->Args({48, 32, 4})
+    ->UseRealTime();
+
+// Input gradient G W^T, 16000 x 48 times (32 x 48)^T, across pool sizes.
+void BM_MatMulTransB(benchmark::State& state) {
+  const int prev_threads = NumThreads();
+  SetNumThreads(static_cast<int>(state.range(0)));
+  Rng rng(8);
+  Tensor g = RandomNormal(16000, 48, 0, 1, &rng);
+  Tensor w = RandomNormal(32, 48, 0, 1, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransB(g, w));
+  }
+  SetMatMulCounters(state, 16000, 48, 32);
+  SetNumThreads(prev_threads);
+}
+BENCHMARK(BM_MatMulTransB)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_GatAttention(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

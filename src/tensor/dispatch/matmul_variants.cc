@@ -5,21 +5,85 @@
 #include "tensor/dispatch/builtin_kernels.h"
 #include "tensor/dispatch/matmul_impl.h"
 #include "tensor/dispatch/registry.h"
+#include "tensor/pool.h"
 #include "tensor/tensor.h"
 
 namespace umgad {
 namespace dispatch {
 namespace {
 
-// Baseline-ISA micro-kernels (whatever the build's default target offers).
-#define UMGAD_MICRO_TARGET_ATTR
-#include "tensor/dispatch/matmul_micro.inc"
-#undef UMGAD_MICRO_TARGET_ATTR
+// The portable tier (baseline ISA, whatever the build's default target
+// offers): B packed into zero-padded kPanelCols-wide panels, rows of C in
+// kMicroRows strips across the pool. Every accumulator advances in
+// ascending-k order, so this tier is bit-identical to the naive floor.
+constexpr int kPanelCols = 64;  // packed-panel width
 
-}  // namespace
+/// 8 x kPanelCols register tile: 8 rows of A against one packed B panel,
+/// full-depth accumulation; `w` columns (<= kPanelCols) are stored. Written
+/// in the unrolled hand style on purpose — GCC/Clang keep the named
+/// accumulator arrays in vector registers, which a 2-D array version
+/// defeats.
+void MicroKernel8(const float* a, int64_t lda, const float* bp, float* c,
+                  int64_t ldc, int k, int w) {
+  float acc0[kPanelCols] = {0.0f}, acc1[kPanelCols] = {0.0f},
+        acc2[kPanelCols] = {0.0f}, acc3[kPanelCols] = {0.0f},
+        acc4[kPanelCols] = {0.0f}, acc5[kPanelCols] = {0.0f},
+        acc6[kPanelCols] = {0.0f}, acc7[kPanelCols] = {0.0f};
+  for (int p = 0; p < k; ++p) {
+    const float* b = bp + static_cast<int64_t>(p) * kPanelCols;
+    const float v0 = a[p];
+    const float v1 = a[lda + p];
+    const float v2 = a[2 * lda + p];
+    const float v3 = a[3 * lda + p];
+    const float v4 = a[4 * lda + p];
+    const float v5 = a[5 * lda + p];
+    const float v6 = a[6 * lda + p];
+    const float v7 = a[7 * lda + p];
+    for (int j = 0; j < kPanelCols; ++j) {
+      const float bv = b[j];
+      acc0[j] += v0 * bv;
+      acc1[j] += v1 * bv;
+      acc2[j] += v2 * bv;
+      acc3[j] += v3 * bv;
+      acc4[j] += v4 * bv;
+      acc5[j] += v5 * bv;
+      acc6[j] += v6 * bv;
+      acc7[j] += v7 * bv;
+    }
+  }
+  float* crow = c;
+  for (int j = 0; j < w; ++j) crow[j] = acc0[j];
+  crow += ldc;
+  for (int j = 0; j < w; ++j) crow[j] = acc1[j];
+  crow += ldc;
+  for (int j = 0; j < w; ++j) crow[j] = acc2[j];
+  crow += ldc;
+  for (int j = 0; j < w; ++j) crow[j] = acc3[j];
+  crow += ldc;
+  for (int j = 0; j < w; ++j) crow[j] = acc4[j];
+  crow += ldc;
+  for (int j = 0; j < w; ++j) crow[j] = acc5[j];
+  crow += ldc;
+  for (int j = 0; j < w; ++j) crow[j] = acc6[j];
+  crow += ldc;
+  for (int j = 0; j < w; ++j) crow[j] = acc7[j];
+}
 
-Tensor BlockedMatMul(const Tensor& a, const Tensor& b, MicroKernel8Fn micro8,
-                     MicroKernel1Fn micro1) {
+/// Single-row edge kernel for the m % kMicroRows remainder.
+void MicroKernel1(const float* a, const float* bp, float* c, int k, int w) {
+  float acc[kPanelCols] = {0.0f};
+  for (int p = 0; p < k; ++p) {
+    const float* b = bp + static_cast<int64_t>(p) * kPanelCols;
+    const float v = a[p];
+    for (int j = 0; j < kPanelCols; ++j) acc[j] += v * b[j];
+  }
+  for (int j = 0; j < w; ++j) c[j] = acc[j];
+}
+
+/// The blocked driver: packs B into zero-padded kPanelCols panels, then
+/// partitions rows of C across the pool. Small products short-circuit to
+/// MatMulNaive.
+Tensor BlockedMatMul(const Tensor& a, const Tensor& b) {
   UMGAD_CHECK_EQ(a.cols(), b.rows());
   const int m = a.rows();
   const int k = a.cols();
@@ -58,19 +122,17 @@ Tensor BlockedMatMul(const Tensor& a, const Tensor& b, MicroKernel8Fn micro8,
           packed.get() + static_cast<size_t>(t) * k * kPanelCols;
       int64_t i = r0;
       for (; i + kMicroRows <= r1; i += kMicroRows) {
-        micro8(a.row(static_cast<int>(i)), k, panel,
-               c.row(static_cast<int>(i)) + j0, n, k, w);
+        MicroKernel8(a.row(static_cast<int>(i)), k, panel,
+                     c.row(static_cast<int>(i)) + j0, n, k, w);
       }
       for (; i < r1; ++i) {
-        micro1(a.row(static_cast<int>(i)), panel,
-               c.row(static_cast<int>(i)) + j0, k, w);
+        MicroKernel1(a.row(static_cast<int>(i)), panel,
+                     c.row(static_cast<int>(i)) + j0, k, w);
       }
     }
   });
   return c;
 }
-
-namespace {
 
 // kMatMul variants. "naive" is the public serial oracle; "blocked" is the
 // packed register-tiled core. Both accumulate each C element in ascending-k
@@ -81,7 +143,7 @@ Tensor MatMulVariantNaive(const Tensor& a, const Tensor& b) {
 }
 
 Tensor MatMulVariantBlocked(const Tensor& a, const Tensor& b) {
-  return BlockedMatMul(a, b, MicroKernel8, MicroKernel1);
+  return BlockedMatMul(a, b);
 }
 
 // kMatMulTransB variants: one cheap transpose away from the plain product.
@@ -95,7 +157,20 @@ Tensor MatMulTransBVariantNaive(const Tensor& a, const Tensor& b) {
 
 Tensor MatMulTransBVariantBlocked(const Tensor& a, const Tensor& b) {
   UMGAD_CHECK_EQ(a.cols(), b.cols());
-  return BlockedMatMul(a, Transpose(b), MicroKernel8, MicroKernel1);
+  return BlockedMatMul(a, Transpose(b));
+}
+
+// kMatMulTransA variants (the weight gradient A^T G). "naive" is the serial
+// p-outer oracle; "blocked" transposes A and runs the plain blocked core.
+// Both add each C element's terms in ascending p.
+Tensor MatMulTransAVariantNaive(const Tensor& a, const Tensor& b) {
+  UMGAD_CHECK_EQ(a.rows(), b.rows());
+  return MatMulTransANaive(a, b);
+}
+
+Tensor MatMulTransAVariantBlocked(const Tensor& a, const Tensor& b) {
+  UMGAD_CHECK_EQ(a.rows(), b.rows());
+  return BlockedMatMul(Transpose(a), b);
 }
 
 }  // namespace
@@ -113,6 +188,12 @@ void RegisterBuiltinMatMul(KernelRegistry* r) {
   r->Register(KernelOp::kMatMulTransB,
               {"blocked", /*priority=*/10, /*required_features=*/0,
                reinterpret_cast<KernelFn>(&MatMulTransBVariantBlocked)});
+  r->Register(KernelOp::kMatMulTransA,
+              {"naive", /*priority=*/0, /*required_features=*/0,
+               reinterpret_cast<KernelFn>(&MatMulTransAVariantNaive)});
+  r->Register(KernelOp::kMatMulTransA,
+              {"blocked", /*priority=*/10, /*required_features=*/0,
+               reinterpret_cast<KernelFn>(&MatMulTransAVariantBlocked)});
 }
 
 }  // namespace dispatch

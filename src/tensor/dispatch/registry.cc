@@ -14,7 +14,8 @@ namespace dispatch {
 namespace {
 
 constexpr const char* kOpNames[kNumKernelOps] = {
-    "matmul", "matmul_transb", "spmm", "int8_gemm", "bf16_gemm", "bf16_spmm",
+    "matmul",    "matmul_transb", "matmul_transa", "spmm",
+    "int8_gemm", "bf16_gemm",     "bf16_spmm",
 };
 
 int OpIndexByName(const std::string& name) {

@@ -27,12 +27,13 @@ struct Bf16Matrix;
 enum class KernelOp : int {
   kMatMul = 0,
   kMatMulTransB,
+  kMatMulTransA,
   kSpmm,
   kInt8Gemm,
   kBf16Gemm,
   kBf16Spmm,
 };
-constexpr int kNumKernelOps = 6;
+constexpr int kNumKernelOps = 7;
 
 /// Typed signatures per op. Variants are stored type-erased; the accessors
 /// below cast back. All variants of one op must be bit-identical for any
@@ -80,7 +81,8 @@ class KernelRegistry {
 
   /// Pins variants by name. `spec` is either a bare variant name, applied to
   /// every op that has it, or a comma-separated `op=name` list with op names
-  /// matmul, matmul_transb, spmm, int8_gemm, bf16_gemm, bf16_spmm.
+  /// matmul, matmul_transb, matmul_transa, spmm, int8_gemm, bf16_gemm,
+  /// bf16_spmm.
   /// Unknown op or variant name → InvalidArgument, no state change. A known
   /// variant whose CPU features are unavailable is accepted; resolution
   /// falls back gracefully (with a warning) at first use.
@@ -99,6 +101,9 @@ class KernelRegistry {
   MatMulFn matmul() { return reinterpret_cast<MatMulFn>(Resolve(KernelOp::kMatMul)); }
   MatMulFn matmul_trans_b() {
     return reinterpret_cast<MatMulFn>(Resolve(KernelOp::kMatMulTransB));
+  }
+  MatMulFn matmul_trans_a() {
+    return reinterpret_cast<MatMulFn>(Resolve(KernelOp::kMatMulTransA));
   }
   SpmmFn spmm() { return reinterpret_cast<SpmmFn>(Resolve(KernelOp::kSpmm)); }
   Int8GemmFn int8_gemm() {

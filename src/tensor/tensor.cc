@@ -195,12 +195,9 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   return dispatch::KernelRegistry::Global()->matmul_trans_b()(a, b);
 }
 
-// A^T B stays a direct transpose + plain product; it only runs on the
-// training tape (gradient accumulation), where the registry's matmul
-// selection already applies through MatMul.
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   UMGAD_CHECK_EQ(a.rows(), b.rows());
-  return MatMul(Transpose(a), b);
+  return dispatch::KernelRegistry::Global()->matmul_trans_a()(a, b);
 }
 
 Tensor Transpose(const Tensor& a) {

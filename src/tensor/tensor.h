@@ -212,18 +212,18 @@ class Tensor {
 
 /// C = A * B. Shapes: (m,k) x (k,n) -> (m,n).
 ///
-/// Large products go through a cache-blocked, register-tiled kernel whose
-/// rows are dispatched across the global thread pool (see
-/// docs/PERFORMANCE.md). Each output element is accumulated in ascending-k
-/// order by exactly one thread, so the result is bit-identical to
-/// MatMulNaive and invariant to UMGAD_THREADS.
+/// The three dense products dispatch through the kernel registry
+/// (src/tensor/dispatch/; design in docs/PERFORMANCE.md §1). Large products
+/// run a register-tiled kernel parallel over tiles of C. Each output element
+/// is accumulated in ascending-k order by exactly one thread, so the result
+/// is bit-identical to MatMulNaive and invariant to UMGAD_THREADS.
 Tensor MatMul(const Tensor& a, const Tensor& b);
-/// C = A * B^T. Shapes: (m,k) x (n,k) -> (m,n). Implemented as
+/// C = A * B^T. Shapes: (m,k) x (n,k) -> (m,n). Same bits as
 /// MatMul(A, Transpose(B)); accumulates in float like MatMul (the seed's
 /// double-accumulation variant survives as MatMulTransBNaive).
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
-/// C = A^T * B. Shapes: (k,m) x (k,n) -> (m,n). Implemented as
-/// MatMul(Transpose(A), B).
+/// C = A^T * B. Shapes: (k,m) x (k,n) -> (m,n). Same bits as
+/// MatMulTransANaive and MatMul(Transpose(A), B).
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 
 /// Reference kernels: the seed's single-threaded triple loops, kept as the

@@ -242,6 +242,13 @@ struct LegacyCase {
   double scale;
 };
 
+// Print the dataset name, not gtest's default byte dump: the dump holds
+// load-address-dependent pointer bytes, which would make the discovered
+// test names change from one build to the next.
+void PrintTo(const LegacyCase& c, std::ostream* os) {
+  *os << '"' << c.name << '"';
+}
+
 class RegistryVsLegacy : public ::testing::TestWithParam<LegacyCase> {};
 
 TEST_P(RegistryVsLegacy, BitIdentical) {

@@ -132,6 +132,13 @@ struct AblationCase {
   void (*apply)(UmgadConfig*);
 };
 
+// Print the variant name, not gtest's default byte dump: the dump holds a
+// load-address-dependent function pointer, which would make the discovered
+// test names change from one build to the next.
+void PrintTo(const AblationCase& c, std::ostream* os) {
+  *os << '"' << c.name << '"';
+}
+
 class AblationVariants : public ::testing::TestWithParam<AblationCase> {};
 
 TEST_P(AblationVariants, VariantTrainsAndScores) {

@@ -125,9 +125,10 @@ int Usage() {
       "                  [--seed N] [--scale S]\n"
       "\n"
       "kernel flags (any command): --kernel NAME or --kernel op=name,...\n"
-      "pins registry kernel variants (ops: matmul, matmul_transb, spmm,\n"
-      "int8_gemm, bf16_gemm, bf16_spmm); same syntax as the UMGAD_KERNEL\n"
-      "env var. inspect --kernels shows what is registered and selected.\n"
+      "pins registry kernel variants (ops: matmul, matmul_transb,\n"
+      "matmul_transa, spmm, int8_gemm, bf16_gemm, bf16_spmm); same syntax\n"
+      "as the UMGAD_KERNEL env var. inspect --kernels shows what is\n"
+      "registered and selected.\n"
       "\n"
       "load flags (any command that loads a graph): --mmap maps .umgb\n"
       "inputs read-only (zero-copy; UMGAD_NO_MMAP=1 forces the copying\n"
