@@ -20,6 +20,7 @@ std::vector<double> StructureResidual(const SparseMatrix& adj,
   std::vector<double> residual(n, 0.0);
   const auto& rp = adj.row_ptr();
   const auto& ci = adj.col_idx();
+  std::vector<double> dots;
   for (int i = 0; i < n; ++i) {
     // Degree-normalised residual: "how badly are my edges predicted" plus
     // "how much do I leak probability onto non-edges". The unnormalised
@@ -27,16 +28,18 @@ std::vector<double> StructureResidual(const SparseMatrix& adj,
     // noisy layers above true anomalies; normalising keeps the ranking on
     // predictability rather than volume.
     double edge_err = 0.0;
-    int degree = 0;
-    for (int64_t k = rp[i]; k < rp[i + 1]; ++k) {
-      edge_err += 1.0 - SigmoidD(z.RowDot(i, z, ci[k]));
-      ++degree;
-    }
+    const int degree = static_cast<int>(rp[i + 1] - rp[i]);
+    dots.resize(degree);
+    z.RowDots(i, z, ci.data() + rp[i], degree, dots.data());
+    for (double dot : dots) edge_err += 1.0 - SigmoidD(dot);
     double leak = 0.0;
     if (num_negatives > 0 && n - 1 - degree > 0) {
       const std::vector<int> negs =
           SampleNonNeighbors(adj, i, num_negatives, rng);
-      for (int u : negs) leak += SigmoidD(z.RowDot(i, z, u));
+      dots.resize(negs.size());
+      z.RowDots(i, z, negs.data(), static_cast<int>(negs.size()),
+                dots.data());
+      for (double dot : dots) leak += SigmoidD(dot);
       leak /= static_cast<double>(negs.size());
     }
     if (degree_normalized) {

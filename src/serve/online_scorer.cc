@@ -202,6 +202,7 @@ struct ViewState {
   std::vector<ChainState> struct_chains;
   std::vector<double> attr_val;                          // per node
   std::vector<std::vector<double>> residual;             // [rel][node]
+  std::vector<double> struct_avg;  // per node: 0.0 + sum_r residual / R
   std::vector<std::vector<std::vector<int>>> negatives;  // [rel][node]
   std::vector<std::vector<std::vector<int>>> samplers;   // [rel][u] -> nodes
 };
@@ -211,10 +212,17 @@ struct EngineState {
   std::vector<double> scores;
 };
 
-/// Dedup helper for dirty-set accumulation.
+/// Dedup helper for dirty-set accumulation. The marks are sized once and
+/// Reset() clears only the marked entries, so a set reused across updates
+/// costs O(items) per use, not O(n).
 class NodeSet {
  public:
-  explicit NodeSet(int n) : mark_(n, 0) {}
+  /// Empties the set and makes room for node ids in [0, n).
+  void Reset(int n) {
+    for (int i : items_) mark_[i] = 0;
+    items_.clear();
+    mark_.resize(n, 0);
+  }
   void Add(int i) {
     if (!mark_[i]) {
       mark_[i] = 1;
@@ -228,15 +236,126 @@ class NodeSet {
   std::vector<int> items_;
 };
 
+/// What one incremental pass records as it goes: its row-cache lookups
+/// and, under a cache budget, the valid flags of the non-resident rows it
+/// recomputed — the only rows the pass must clear again before returning.
+struct PassLog {
+  int64_t hits = 0;
+  int64_t misses = 0;
+  std::vector<uint8_t*> nonresident;
+};
+
+/// One standardised component of the fused combine.
+struct ZColumn {
+  const double* x = nullptr;
+  double mean = 0.0;
+  double stddev = 0.0;
+
+  /// Standardize's element i: (x - mean) / stddev, or 0.0 when the
+  /// component is constant.
+  double Z(int i) const {
+    return stddev <= 1e-300 ? 0.0 : (x[i] - mean) / stddev;
+  }
+};
+
+/// Standardize's two sums for every column, each in its own accumulator
+/// over ascending i from 0.0: sum x into `mean` (kDeviation false) or sum
+/// (x - mean)^2 into `stddev` (kDeviation true); the caller divides. Up to
+/// W columns share one streaming pass with their accumulators in registers
+/// (a loop over a runtime column count keeps them in memory, which made
+/// the two passes ~1.7x slower at DG-Fin's size).
+template <int W, bool kDeviation>
+void SumColumns(ZColumn* cols, int count, int n) {
+  if constexpr (W > 1) {
+    if (count < W) {
+      SumColumns<W - 1, kDeviation>(cols, count, n);
+      return;
+    }
+  }
+  if (count <= 0) return;
+  const double* x[W];
+  double center[W];
+  double sum[W];
+  for (int k = 0; k < W; ++k) {
+    x[k] = cols[k].x;
+    center[k] = cols[k].mean;
+    sum[k] = 0.0;
+  }
+  for (int i = 0; i < n; ++i) {
+    for (int k = 0; k < W; ++k) {
+      if constexpr (kDeviation) {
+        sum[k] += (x[k][i] - center[k]) * (x[k][i] - center[k]);
+      } else {
+        sum[k] += x[k][i];
+      }
+    }
+  }
+  for (int k = 0; k < W; ++k) {
+    if constexpr (kDeviation) {
+      cols[k].stddev = sum[k];
+    } else {
+      cols[k].mean = sum[k];
+    }
+  }
+  SumColumns<W, kDeviation>(cols + W, count - W, n);
+}
+
 }  // namespace
 
 std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
-                                      int num_nodes, int num_relations,
+                                      int num_nodes, int /*num_relations*/,
                                       float epsilon) {
+  constexpr int kColumnsPerPass = 6;  // three views' two components
+  const int n = num_nodes;
+  std::vector<ZColumn> cols;
+  cols.reserve(2 * views.size());
+  int contributing = 0;
+  for (const ViewComponents& vc : views) {
+    if (!vc.attr_used && !vc.struct_used) continue;
+    ++contributing;
+    if (vc.attr_used) cols.push_back({vc.attr_val->data()});
+    if (vc.struct_used) cols.push_back({vc.struct_avg->data()});
+  }
+  UMGAD_CHECK_GT(contributing, 0);
+  const int count = static_cast<int>(cols.size());
+  // Pass 1: every component's mean; pass 2: every component's variance
+  // around its mean.
+  SumColumns<kColumnsPerPass, false>(cols.data(), count, n);
+  for (ZColumn& col : cols) col.mean /= static_cast<double>(n);
+  SumColumns<kColumnsPerPass, true>(cols.data(), count, n);
+  for (ZColumn& col : cols) {
+    col.stddev = std::sqrt(col.stddev / static_cast<double>(n));
+  }
+  // Pass 3: one output pass per view, accumulating in view order.
+  std::vector<double> total(n, 0.0);
+  const double w_attr = epsilon;
+  const double w_struct = 1.0f - epsilon;
+  int c = 0;
+  for (const ViewComponents& vc : views) {
+    // Local copies: no store to `total` can alias a column's statistics,
+    // so the loops vectorise.
+    if (vc.attr_used && vc.struct_used) {
+      const ZColumn a = cols[c++];
+      const ZColumn z = cols[c++];
+      for (int i = 0; i < n; ++i) {
+        total[i] += w_attr * a.Z(i) + w_struct * z.Z(i);
+      }
+    } else if (vc.attr_used || vc.struct_used) {
+      const ZColumn a = cols[c++];
+      for (int i = 0; i < n; ++i) total[i] += a.Z(i);
+    }
+  }
+  for (double& s : total) s /= contributing;
+  return total;
+}
+
+std::vector<double> CombineComponentsNaive(
+    const std::vector<RawViewComponents>& views, int num_nodes,
+    int num_relations, float epsilon) {
   const int n = num_nodes;
   std::vector<double> total(n, 0.0);
   int contributing = 0;
-  for (const ViewComponents& vc : views) {
+  for (const RawViewComponents& vc : views) {
     const bool has_attr = vc.attr_used;
     const bool has_struct = vc.struct_used;
     if (!has_attr && !has_struct) continue;
@@ -296,6 +415,22 @@ struct OnlineScorer::Impl {
   dispatch::Precision precision = dispatch::Precision::kFp32;
   EngineState state;
 
+  // ApplyBatch's reusable scratch: the dirty sets (reset per use in
+  // O(items)) and the pass log, so an update allocates no n-sized arrays.
+  std::vector<NodeSet> s_norm;     // per relation, see ApplyBatch
+  std::vector<NodeSet> endpoints;  // per relation, see ApplyBatch
+  NodeSet front;                   // one propagation stage's dirty rows
+  NodeSet res_nodes;               // one relation's residuals to rescore
+  NodeSet avg_nodes;               // a view's rescored residual nodes
+  NodeSet attr_nodes;              // a view's attribute values to rescore
+  PassLog log;
+
+  /// The two from-scratch passes: kServe fans rows across the pool and
+  /// runs the serving kernels (batched residual dots, fused combine);
+  /// kOracle is RescoreFullNaive's serial sweep with one RowDot per column
+  /// and CombineComponentsNaive.
+  enum class Pass { kServe, kOracle };
+
   bool Owned(int i) const { return owned.empty() || owned[i] != 0; }
 
   EngineState MakeEmptyState() const;
@@ -304,16 +439,17 @@ struct OnlineScorer::Impl {
   void ComputeStageRow(const ChainPlan& plan, ChainState& cs, int stage,
                        int rel, int i) const;
   void EnsureST(const ChainPlan& plan, ChainState& cs, int stage, int rel,
-                int i, ServeStats* stats) const;
+                int i, PassLog* log) const;
   void EnsureRow(const ChainPlan& plan, ChainState& cs, int stage, int rel,
-                 int i, ServeStats* stats) const;
+                 int i, PassLog* log) const;
   std::vector<int> DrawNegatives(int view, int rel, int node) const;
   void ComputeResidualNode(EngineState& st, int view, int rel, int i,
-                           ServeStats* stats) const;
+                           Pass pass, PassLog* log) const;
+  void ComputeStructAvgNode(ViewState& vs, int i) const;
   void ComputeAttrValNode(EngineState& st, int view, int i,
-                          ServeStats* stats) const;
-  void Combine(EngineState& st) const;
-  void FullCompute(EngineState* st, bool parallel) const;
+                          PassLog* log) const;
+  void Combine(EngineState& st, Pass pass) const;
+  void FullCompute(EngineState* st, Pass pass) const;
   void EvictNonResident(EngineState* st) const;
   Status ApplyBatch(const std::vector<EdgeUpdate>& updates,
                     ServeStats* stats);
@@ -349,6 +485,7 @@ EngineState OnlineScorer::Impl::MakeEmptyState() const {
     if (vp.attr_used) vs.attr_val.assign(n, 0.0);
     if (vp.struct_used) {
       vs.residual.assign(r_count, std::vector<double>(n, 0.0));
+      vs.struct_avg.assign(n, 0.0);
       vs.negatives.assign(r_count, std::vector<std::vector<int>>(n));
       vs.samplers.assign(r_count, std::vector<std::vector<int>>(n));
     }
@@ -490,36 +627,39 @@ void OnlineScorer::Impl::ComputeStageRow(const ChainPlan& plan,
 
 void OnlineScorer::Impl::EnsureST(const ChainPlan& plan, ChainState& cs,
                                   int stage, int rel, int i,
-                                  ServeStats* stats) const {
+                                  PassLog* log) const {
   if (cs.stages[stage].st_valid[i]) return;
-  EnsureRow(plan, cs, stage - 1, rel, i, stats);
+  EnsureRow(plan, cs, stage - 1, rel, i, log);
   ComputeST(plan, cs, stage, i);
 }
 
 void OnlineScorer::Impl::EnsureRow(const ChainPlan& plan, ChainState& cs,
                                    int stage, int rel, int i,
-                                   ServeStats* stats) const {
+                                   PassLog* log) const {
   StageState& ss = cs.stages[stage];
   if (ss.valid[i]) {
-    if (stats != nullptr) ++stats->cache_hits;
+    if (log != nullptr) ++log->hits;
     return;
   }
-  if (stats != nullptr) ++stats->cache_misses;
+  if (log != nullptr) {
+    ++log->misses;
+    if (!resident[i]) log->nonresident.push_back(&ss.valid[i]);
+  }
   const StagePlan& sp = plan.stages[stage];
   switch (sp.kind) {
     case StageKind::kProject:
     case StageKind::kBiasAct:
-      if (stage > 0) EnsureRow(plan, cs, stage - 1, rel, i, stats);
+      if (stage > 0) EnsureRow(plan, cs, stage - 1, rel, i, log);
       break;
     case StageKind::kSpmm:
       adj[rel].ForEachNormEntry(i, [&](int col, float) {
-        EnsureRow(plan, cs, stage - 1, rel, col, stats);
+        EnsureRow(plan, cs, stage - 1, rel, col, log);
       });
       break;
     case StageKind::kGatAttend: {
       auto need = [&](int col) {
-        EnsureRow(plan, cs, stage - 1, rel, col, stats);
-        EnsureST(plan, cs, stage, rel, col, stats);
+        EnsureRow(plan, cs, stage - 1, rel, col, log);
+        EnsureST(plan, cs, stage, rel, col, log);
       };
       bool self_done = false;
       for (int col : adj[rel].neighbors(i)) {
@@ -548,8 +688,8 @@ std::vector<int> OnlineScorer::Impl::DrawNegatives(int view, int rel,
 }
 
 void OnlineScorer::Impl::ComputeResidualNode(EngineState& st, int view,
-                                             int rel, int i,
-                                             ServeStats* stats) const {
+                                             int rel, int i, Pass pass,
+                                             PassLog* log) const {
   const ViewPlan& vp = plans[view];
   ViewState& vs = st.views[view];
   const ChainPlan* plan;
@@ -564,30 +704,53 @@ void OnlineScorer::Impl::ComputeResidualNode(EngineState& st, int view,
     chain = &vs.attr_chains[rel];
     stage = plan->embed_stage;
   }
-  EnsureRow(*plan, *chain, stage, rel, i, stats);
+  EnsureRow(*plan, *chain, stage, rel, i, log);
   const Tensor& z = chain->stages[stage].cache;
+  const std::vector<int>& nbrs = adj[rel].neighbors(i);
+  const std::vector<int>& negs = vs.negatives[rel][i];
+  const int degree = static_cast<int>(nbrs.size());
   // StructureResidual's degree-normalised form, per node.
   double edge_err = 0.0;
-  int degree = 0;
-  for (int col : adj[rel].neighbors(i)) {
-    EnsureRow(*plan, *chain, stage, rel, col, stats);
-    edge_err += 1.0 - SigmoidD(z.RowDot(i, z, col));
-    ++degree;
-  }
   double leak = 0.0;
-  const std::vector<int>& negs = vs.negatives[rel][i];
-  if (!negs.empty()) {
+  if (pass == Pass::kOracle) {
+    for (int col : nbrs) {
+      EnsureRow(*plan, *chain, stage, rel, col, log);
+      edge_err += 1.0 - SigmoidD(z.RowDot(i, z, col));
+    }
     for (int u : negs) {
-      EnsureRow(*plan, *chain, stage, rel, u, stats);
+      EnsureRow(*plan, *chain, stage, rel, u, log);
       leak += SigmoidD(z.RowDot(i, z, u));
     }
-    leak /= static_cast<double>(negs.size());
+  } else {
+    // The same dots, neighbours then negatives, four at a time: ensure
+    // every row first, prefetch them, then one RowDots over the lot.
+    thread_local std::vector<int> cols;
+    thread_local std::vector<double> dots;
+    cols.assign(nbrs.begin(), nbrs.end());
+    cols.insert(cols.end(), negs.begin(), negs.end());
+    for (int col : cols) {
+      EnsureRow(*plan, *chain, stage, rel, col, log);
+      const float* row = z.row(col);
+      for (int c = 0; c < z.cols(); c += 16) __builtin_prefetch(row + c);
+    }
+    dots.resize(cols.size());
+    z.RowDots(i, z, cols.data(), static_cast<int>(cols.size()), dots.data());
+    for (int k = 0; k < degree; ++k) edge_err += 1.0 - SigmoidD(dots[k]);
+    for (size_t k = degree; k < dots.size(); ++k) leak += SigmoidD(dots[k]);
   }
+  if (!negs.empty()) leak /= static_cast<double>(negs.size());
   vs.residual[rel][i] = (degree > 0 ? edge_err / degree : 0.0) + leak;
 }
 
+void OnlineScorer::Impl::ComputeStructAvgNode(ViewState& vs, int i) const {
+  // CombineComponentsNaive's per-element relation average.
+  double avg = 0.0;
+  for (int r = 0; r < r_count; ++r) avg += vs.residual[r][i] / r_count;
+  vs.struct_avg[i] = avg;
+}
+
 void OnlineScorer::Impl::ComputeAttrValNode(EngineState& st, int view, int i,
-                                            ServeStats* stats) const {
+                                            PassLog* log) const {
   const ViewPlan& vp = plans[view];
   ViewState& vs = st.views[view];
   const int f = x.cols();
@@ -599,7 +762,7 @@ void OnlineScorer::Impl::ComputeAttrValNode(EngineState& st, int view, int i,
     const ChainPlan& cp = vp.attr_chains[r];
     ChainState& cs = vs.attr_chains[r];
     const int last = static_cast<int>(cp.stages.size()) - 1;
-    EnsureRow(cp, cs, last, r, i, stats);
+    EnsureRow(cp, cs, last, r, i, log);
     const float w = vp.fusion_w[r];
     const float* row = cs.stages[last].cache.row(i);
     for (int j = 0; j < f; ++j) fused[j] += w * row[j];
@@ -614,37 +777,45 @@ void OnlineScorer::Impl::ComputeAttrValNode(EngineState& st, int view, int i,
       static_cast<double>(static_cast<float>(std::sqrt(acc)));
 }
 
-void OnlineScorer::Impl::Combine(EngineState& st) const {
+void OnlineScorer::Impl::Combine(EngineState& st, Pass pass) const {
   // ComputeAnomalyScores (Eq. 19) over the cached per-node parts: the raw
   // components are maintained incrementally; standardisation and the
-  // epsilon mix are cheap O(n) double passes. The standardisation is
-  // *global* (a z-score over all nodes), so an owner-masked shard — which
-  // only maintains its own nodes' components — cannot combine; ShardRouter
+  // epsilon mix are O(n) double passes. The standardisation is *global* (a
+  // z-score over all nodes), so an owner-masked shard — which only
+  // maintains its own nodes' components — cannot combine; ShardRouter
   // gathers every shard's owned slices and runs the same CombineComponents
   // over the full board instead.
   if (component_only) {
     st.scores.clear();
     return;
   }
-  std::vector<ViewComponents> views;
-  views.reserve(plans.size());
+  if (pass == Pass::kOracle) {
+    std::vector<RawViewComponents> views(plans.size());
+    for (size_t v = 0; v < plans.size(); ++v) {
+      views[v].attr_used = plans[v].attr_used;
+      views[v].struct_used = plans[v].struct_used;
+      views[v].attr_val = &st.views[v].attr_val;
+      views[v].residual = &st.views[v].residual;
+    }
+    st.scores = CombineComponentsNaive(views, n, r_count, config.epsilon);
+    return;
+  }
+  std::vector<ViewComponents> views(plans.size());
   for (size_t v = 0; v < plans.size(); ++v) {
-    ViewComponents vc;
-    vc.attr_used = plans[v].attr_used;
-    vc.struct_used = plans[v].struct_used;
-    if (vc.attr_used) vc.attr_val = &st.views[v].attr_val;
-    if (vc.struct_used) vc.residual = &st.views[v].residual;
-    views.push_back(vc);
+    views[v].attr_used = plans[v].attr_used;
+    views[v].struct_used = plans[v].struct_used;
+    views[v].attr_val = &st.views[v].attr_val;
+    views[v].struct_avg = &st.views[v].struct_avg;
   }
   st.scores = CombineComponents(views, n, r_count, config.epsilon);
 }
 
-void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
+void OnlineScorer::Impl::FullCompute(EngineState* st, Pass pass) const {
   // Stage-by-stage: every row of a stage only reads fully-valid previous
-  // stages, so rows fan out across the pool race-free; with parallel ==
-  // false the identical kernels run in one serial sweep (RescoreFullNaive).
+  // stages, so rows fan out across the pool race-free; under kOracle the
+  // same stage kernels run in one serial sweep (RescoreFullNaive).
   auto for_rows = [&](auto&& fn) {
-    if (parallel) {
+    if (pass == Pass::kServe) {
       ParallelFor(n, 8, [&](int64_t b, int64_t e) {
         for (int i = static_cast<int>(b); i < e; ++i) fn(i);
       });
@@ -692,9 +863,10 @@ void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
         }
         for_rows([&](int i) {
           if (!Owned(i)) return;
-          ComputeResidualNode(*st, static_cast<int>(v), r, i, nullptr);
+          ComputeResidualNode(*st, static_cast<int>(v), r, i, pass, nullptr);
         });
       }
+      for_rows([&](int i) { ComputeStructAvgNode(vs, i); });
     }
     if (vp.attr_used) {
       for_rows([&](int i) {
@@ -703,10 +875,12 @@ void OnlineScorer::Impl::FullCompute(EngineState* st, bool parallel) const {
       });
     }
   }
-  Combine(*st);
+  Combine(*st, pass);
 }
 
 void OnlineScorer::Impl::EvictNonResident(EngineState* st) const {
+  // Once, after Create's full pass; an update clears only the rows its own
+  // PassLog recorded.
   if (!budgeted) return;
   for (ViewState& vs : st->views) {
     for (auto* chains : {&vs.attr_chains, &vs.struct_chains}) {
@@ -739,13 +913,11 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
   // differs between the initial and final adjacency.
   // endpoints[r]: distinct endpoint nodes of relation r's updates — the
   // nodes whose own adjacency row (and negative stream) changed.
-  std::vector<NodeSet> s_norm;
-  std::vector<NodeSet> endpoints;
-  s_norm.reserve(r_count);
-  endpoints.reserve(r_count);
+  s_norm.resize(r_count);
+  endpoints.resize(r_count);
   for (int r = 0; r < r_count; ++r) {
-    s_norm.emplace_back(n);
-    endpoints.emplace_back(n);
+    s_norm[r].Reset(n);
+    endpoints[r].Reset(n);
   }
   Status error = Status::OK();
   size_t applied = 0;
@@ -837,13 +1009,13 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
           next = cur;
           break;
         case StageKind::kSpmm: {
-          NodeSet set(n);
-          for (int i : sn.items()) set.Add(i);
+          front.Reset(n);
+          for (int i : sn.items()) front.Add(i);
           for (int d : cur) {
-            set.Add(d);
-            for (int j : a.neighbors(d)) set.Add(j);
+            front.Add(d);
+            for (int j : a.neighbors(d)) front.Add(j);
           }
-          next = set.items();
+          next = front.items();
           break;
         }
         case StageKind::kGatAttend: {
@@ -851,13 +1023,13 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
           // dirty projections one hop out. s/t of a node follow its own
           // projection row.
           for (int d : cur) ss.st_valid[d] = 0;
-          NodeSet set(n);
-          for (int d : ends) set.Add(d);
+          front.Reset(n);
+          for (int d : ends) front.Add(d);
           for (int d : cur) {
-            set.Add(d);
-            for (int j : a.neighbors(d)) set.Add(j);
+            front.Add(d);
+            for (int j : a.neighbors(d)) front.Add(j);
           }
-          next = set.items();
+          next = front.items();
           break;
         }
       }
@@ -895,11 +1067,16 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
   }
 
   // Phase B.2 — recompute the affected per-node score components, once per
-  // node per component for the whole burst.
+  // node per component for the whole burst, and each rescored node's
+  // relation average once per view.
+  log.hits = 0;
+  log.misses = 0;
+  log.nonresident.clear();
   for (size_t w = 0; w < plans.size(); ++w) {
     const ViewPlan& vp = plans[w];
     ViewState& vs = state.views[w];
     if (vp.struct_used) {
+      avg_nodes.Reset(n);
       for (int rel = 0; rel < r_count; ++rel) {
         const std::vector<int>& ends = endpoints[rel].items();
         if (ends.empty()) continue;
@@ -935,38 +1112,45 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
         // changed), nodes with a dirty embedding, their neighbours (the
         // edge-error term reads neighbour embeddings), and nodes whose
         // negative set contains a dirty-embedding node.
-        NodeSet dirty_res(n);
-        for (int node : ends) dirty_res.Add(node);
+        res_nodes.Reset(n);
+        for (int node : ends) res_nodes.Add(node);
         for (int d : embed_dirty) {
-          dirty_res.Add(d);
-          for (int j : a.neighbors(d)) dirty_res.Add(j);
-          for (int i : vs.samplers[rel][d]) dirty_res.Add(i);
+          res_nodes.Add(d);
+          for (int j : a.neighbors(d)) res_nodes.Add(j);
+          for (int i : vs.samplers[rel][d]) res_nodes.Add(i);
         }
-        for (int i : dirty_res.items()) {
+        for (int i : res_nodes.items()) {
           if (!Owned(i)) continue;
-          ComputeResidualNode(state, static_cast<int>(w), rel, i, stats);
+          ComputeResidualNode(state, static_cast<int>(w), rel, i, Pass::kServe,
+                              &log);
+          avg_nodes.Add(i);
           ++rescored;
         }
       }
+      for (int i : avg_nodes.items()) ComputeStructAvgNode(vs, i);
     }
     if (vp.attr_used) {
       // One attribute-value pass over the union of every updated
       // relation's final dirty front (the fused value reads all chains).
-      NodeSet attr_final(n);
+      attr_nodes.Reset(n);
       for (int rel = 0; rel < r_count; ++rel) {
-        for (int i : attr_dirty[w][rel].final) attr_final.Add(i);
+        for (int i : attr_dirty[w][rel].final) attr_nodes.Add(i);
       }
-      for (int i : attr_final.items()) {
+      for (int i : attr_nodes.items()) {
         if (!Owned(i)) continue;
-        ComputeAttrValNode(state, static_cast<int>(w), i, stats);
+        ComputeAttrValNode(state, static_cast<int>(w), i, &log);
         ++rescored;
       }
     }
   }
 
-  Combine(state);
-  EvictNonResident(&state);
+  Combine(state, Pass::kServe);
+  // Every non-resident row was invalid before this pass, so the rows it
+  // recomputed are exactly the ones to drop again.
+  for (uint8_t* valid : log.nonresident) *valid = 0;
   if (stats != nullptr) {
+    stats->cache_hits += log.hits;
+    stats->cache_misses += log.misses;
     stats->updates_applied += static_cast<int64_t>(updates.size());
     stats->last_dirty_rows = invalidated;
     stats->last_rescored_nodes = rescored;
@@ -1102,7 +1286,7 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
   }
 
   impl.state = impl.MakeEmptyState();
-  impl.FullCompute(&impl.state, /*parallel=*/true);
+  impl.FullCompute(&impl.state, Impl::Pass::kServe);
   impl.EvictNonResident(&impl.state);
   return scorer;
 }
@@ -1141,7 +1325,7 @@ Status OnlineScorer::ApplyEdgeUpdates(const std::vector<EdgeUpdate>& updates) {
 
 std::vector<double> OnlineScorer::RescoreFullNaive() const {
   EngineState scratch = impl_->MakeEmptyState();
-  impl_->FullCompute(&scratch, /*parallel=*/false);
+  impl_->FullCompute(&scratch, Impl::Pass::kOracle);
   return std::move(scratch.scores);
 }
 
@@ -1170,7 +1354,7 @@ std::vector<ViewComponents> OnlineScorer::Components() const {
     vc.attr_used = impl_->plans[v].attr_used;
     vc.struct_used = impl_->plans[v].struct_used;
     if (vc.attr_used) vc.attr_val = &impl_->state.views[v].attr_val;
-    if (vc.struct_used) vc.residual = &impl_->state.views[v].residual;
+    if (vc.struct_used) vc.struct_avg = &impl_->state.views[v].struct_avg;
     out.push_back(vc);
   }
   return out;

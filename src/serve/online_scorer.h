@@ -82,30 +82,54 @@ struct ServeStats {
 };
 
 /// Read-only borrow of one view's raw per-node score components, as
-/// maintained by an OnlineScorer (attribute reconstruction distances and
-/// per-relation structure residuals — the inputs of Eq. 19 *before*
-/// standardisation). Pointers are null for parts the view does not use and
-/// are invalidated by the next Apply* call on the owning scorer.
+/// maintained by an OnlineScorer: the attribute reconstruction distances
+/// and the relation-averaged structure residuals — the inputs of Eq. 19
+/// *before* standardisation. Pointers are null for parts the view does not
+/// use and are invalidated by the next Apply* call on the owning scorer.
 struct ViewComponents {
   bool attr_used = false;
   bool struct_used = false;
   /// num_nodes attribute distances (null unless attr_used).
   const std::vector<double>* attr_val = nullptr;
-  /// [relation][node] structure residuals (null unless struct_used).
-  const std::vector<std::vector<double>>* residual = nullptr;
+  /// num_nodes relation averages of the structure residuals (null unless
+  /// struct_used): element i is 0.0 + residual[r][i] / R summed over
+  /// ascending r, the per-element expression of ComputeAnomalyScores.
+  const std::vector<double>* struct_avg = nullptr;
 };
 
-/// ComputeAnomalyScores (Eq. 19) over raw per-node components: per view,
+/// ComputeAnomalyScores (Eq. 19) over per-node components: per view,
 /// standardise the attribute distances and the relation-averaged residuals
 /// globally (z-score over all nodes), mix with epsilon, then average over
-/// contributing views. This is the exact float path Impl-side Combine used
-/// to inline — extracted so ShardRouter can run the identical global
-/// combine over components gathered from S masked shards and stay
-/// bit-identical to the flat scorer. Checks that at least one view
+/// contributing views. Runs as three streaming passes — every component's
+/// mean, every component's variance, one output pass per view — and is
+/// bit-identical to CombineComponentsNaive: each sum still runs over
+/// ascending nodes from 0.0 in its own accumulator. ShardRouter runs the
+/// same function over components gathered from S masked shards, which keeps
+/// it bit-identical to the flat scorer. `num_relations` is unused (the
+/// relation average arrives in struct_avg). Checks that at least one view
 /// contributes.
 std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
                                       int num_nodes, int num_relations,
                                       float epsilon);
+
+/// One view's components as the serial oracle keeps them: the structure
+/// residuals per relation rather than their running average.
+struct RawViewComponents {
+  bool attr_used = false;
+  bool struct_used = false;
+  const std::vector<double>* attr_val = nullptr;
+  /// [relation][node] structure residuals (null unless struct_used).
+  const std::vector<std::vector<double>>* residual = nullptr;
+};
+
+/// The reference form of CombineComponents: ComputeAnomalyScores' own
+/// arithmetic — the relation average built per element from the raw
+/// residuals, each component through Standardize (core/scorer.h) with its
+/// temporaries. RescoreFullNaive combines through it, so the identity
+/// scores() == RescoreFullNaive() compares two independent combines.
+std::vector<double> CombineComponentsNaive(
+    const std::vector<RawViewComponents>& views, int num_nodes,
+    int num_relations, float epsilon);
 
 /// Online anomaly-scoring service over a trained-model artifact (Sec. IV-E
 /// applied at serving time): load a TrainedModel (.umgm) plus the graph,
@@ -126,7 +150,8 @@ std::vector<double> CombineComponents(const std::vector<ViewComponents>& views,
 ///    negatives are drawn from per-(view, relation, node) Rng streams, so
 ///    a node's draw is independent of every other node. scores() is
 ///    bit-identical to RescoreFullNaive() — a from-scratch serial batch
-///    recompute with the same kernels and streams — after any update
+///    recompute with the same stage kernels and streams, but per-column
+///    residual dots and the reference combine — after any update
 ///    sequence, for any UMGAD_THREADS / arena / cache-budget setting
 ///    (tests/serve_oracle_test.cc). With num_score_negatives == 0 the
 ///    incremental scores also equal the training-time scores bit-for-bit.
@@ -196,10 +221,13 @@ class OnlineScorer {
 
   /// Serial from-scratch batch recompute with the serving kernels and
   /// per-node negative streams: the differential oracle the incremental
-  /// path is pinned against (mirrors the repo's *Naive convention). Does
-  /// not touch the cached state. In owner-masked mode the result is empty
-  /// (no global Combine); the sharded oracle comparisons run against a
-  /// separate unmasked scorer instead (tests/shard_router_test.cc).
+  /// path is pinned against (mirrors the repo's *Naive convention). Its
+  /// residuals take one RowDot per column and its combine is
+  /// CombineComponentsNaive, so neither shares the serving path's batched
+  /// dots or fused z-score. Does not touch the cached state. In
+  /// owner-masked mode the result is empty (no global Combine); the sharded
+  /// oracle comparisons run against a separate unmasked scorer instead
+  /// (tests/shard_router_test.cc).
   std::vector<double> RescoreFullNaive() const;
 
   /// TrainedModel::Score over the current graph snapshot (training-time

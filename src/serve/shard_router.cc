@@ -62,15 +62,16 @@ struct ShardRouter::Impl {
   std::mutex submit_mu;
   std::atomic<int64_t> dropped_updates{0};
 
-  /// The component board: every shard's owned slices of each view's raw
-  /// score components, plus each shard's stream position at its last
+  /// The component board: every shard's owned slices of each view's
+  /// score components (one attribute and one relation-averaged structure
+  /// array per view), plus each shard's stream position at its last
   /// gather. Guarded by board_mu; the publish path (gather + global
   /// combine + snapshot swap) runs entirely under it.
   struct BoardView {
     bool attr_used = false;
     bool struct_used = false;
-    std::vector<double> attr_val;               // n
-    std::vector<std::vector<double>> residual;  // [rel][n]
+    std::vector<double> attr_val;    // n
+    std::vector<double> struct_avg;  // n
   };
   std::mutex board_mu;
   std::vector<BoardView> board;
@@ -95,11 +96,8 @@ void ShardRouter::Impl::CopyOwnedComponentsLocked(int s) {
       for (int i : owned) bv.attr_val[i] = src[i];
     }
     if (bv.struct_used) {
-      for (int r = 0; r < r_count; ++r) {
-        const std::vector<double>& src = (*comps[v].residual)[r];
-        std::vector<double>& dst = bv.residual[r];
-        for (int i : owned) dst[i] = src[i];
-      }
+      const std::vector<double>& src = *comps[v].struct_avg;
+      for (int i : owned) bv.struct_avg[i] = src[i];
     }
   }
 }
@@ -113,7 +111,7 @@ void ShardRouter::Impl::PublishLocked(LatencyHistogram* hist) {
     vc.attr_used = bv.attr_used;
     vc.struct_used = bv.struct_used;
     if (bv.attr_used) vc.attr_val = &bv.attr_val;
-    if (bv.struct_used) vc.residual = &bv.residual;
+    if (bv.struct_used) vc.struct_avg = &bv.struct_avg;
     views.push_back(vc);
   }
   auto snap = std::make_shared<ScoreSnapshot>();
@@ -279,10 +277,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     impl.board[v].attr_used = layout[v].attr_used;
     impl.board[v].struct_used = layout[v].struct_used;
     if (layout[v].attr_used) impl.board[v].attr_val.assign(impl.n, 0.0);
-    if (layout[v].struct_used) {
-      impl.board[v].residual.assign(impl.r_count,
-                                    std::vector<double>(impl.n, 0.0));
-    }
+    if (layout[v].struct_used) impl.board[v].struct_avg.assign(impl.n, 0.0);
   }
   impl.board_pos.assign(options.num_shards, 0);
   {

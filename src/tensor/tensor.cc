@@ -114,6 +114,35 @@ double Tensor::RowDot(int i, const Tensor& other, int j) const {
   return acc;
 }
 
+void Tensor::RowDots(int i, const Tensor& other, const int* cols, int count,
+                     double* out) const {
+  UMGAD_CHECK_EQ(cols_, other.cols());
+  const float* a = row(i);
+  int k = 0;
+  for (; k + 4 <= count; k += 4) {
+    const float* b0 = other.row(cols[k]);
+    const float* b1 = other.row(cols[k + 1]);
+    const float* b2 = other.row(cols[k + 2]);
+    const float* b3 = other.row(cols[k + 3]);
+    double acc0 = 0.0;
+    double acc1 = 0.0;
+    double acc2 = 0.0;
+    double acc3 = 0.0;
+    for (int c = 0; c < cols_; ++c) {
+      const double av = a[c];
+      acc0 += av * b0[c];
+      acc1 += av * b1[c];
+      acc2 += av * b2[c];
+      acc3 += av * b3[c];
+    }
+    out[k] = acc0;
+    out[k + 1] = acc1;
+    out[k + 2] = acc2;
+    out[k + 3] = acc3;
+  }
+  for (; k < count; ++k) out[k] = RowDot(i, other, cols[k]);
+}
+
 std::string Tensor::ShapeString() const {
   return StrFormat("(%d, %d)", rows_, cols_);
 }

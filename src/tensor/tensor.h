@@ -201,6 +201,12 @@ class Tensor {
   double RowNorm(int i) const;
   /// Dot product of row i with row j of another tensor (same cols).
   double RowDot(int i, const Tensor& other, int j) const;
+  /// out[k] = RowDot(i, other, cols[k]) for k < count, bit-for-bit: four
+  /// dots run at a time, each in its own double accumulator walking the
+  /// columns in ascending order (a float x float product is exact in
+  /// double, so the interleaving changes nothing but the latency).
+  void RowDots(int i, const Tensor& other, const int* cols, int count,
+               double* out) const;
 
   std::string ShapeString() const;
 

@@ -7,11 +7,14 @@
 // fitted model's scores, the num_score_negatives == 0 equivalence with
 // training-time scoring, batched bursts (ApplyEdgeUpdates ==
 // one-at-a-time == full rescore, with prefix rollback on error),
-// ApplyEdgeUpdate's error paths, and the DynamicAdjacency
-// bit-compatibility contract.
+// ApplyEdgeUpdate's error paths, the DynamicAdjacency bit-compatibility
+// contract, and the fused z-score combine against its Standardize
+// reference.
 
+#include <cstring>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,10 +30,14 @@
 namespace umgad {
 namespace {
 
+using serve::CombineComponents;
+using serve::CombineComponentsNaive;
 using serve::DynamicAdjacency;
 using serve::EdgeUpdate;
 using serve::OnlineScorer;
+using serve::RawViewComponents;
 using serve::ServeOptions;
+using serve::ViewComponents;
 using ::umgad::testing::OracleSweep;
 
 UmgadConfig ServeConfig() {
@@ -183,6 +190,33 @@ TEST(ServeOracleTest, CacheBudgetNeverChangesScores) {
     // A bounded cache must actually have been recomputing evicted rows.
     EXPECT_GT((*scorer)->stats().cache_misses, 0) << label;
   }
+}
+
+TEST(ServeOracleTest, BudgetPassLeavesNoNonResidentRowValid) {
+  // With nothing resident, every pass must drop every row it recomputed:
+  // an update, its reversal, and the update again must find the same cold
+  // cache twice, so the first and third passes look up and miss exactly
+  // the same rows.
+  ServeOptions options;
+  options.cache_budget_nodes = 0;
+  auto scorer =
+      OnlineScorer::Create(Fixture().trained, Fixture().graph, options);
+  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+  const EdgeUpdate update = MakeUpdateSequence(Fixture().graph, 1, 53)[0];
+  EdgeUpdate reverse = update;
+  reverse.add = !update.add;
+  auto apply = [&](const EdgeUpdate& u) {
+    const serve::ServeStats before = (*scorer)->stats();
+    EXPECT_TRUE((*scorer)->ApplyEdgeUpdate(u).ok());
+    const serve::ServeStats& after = (*scorer)->stats();
+    return std::make_pair(after.cache_hits - before.cache_hits,
+                          after.cache_misses - before.cache_misses);
+  };
+  const auto first = apply(update);
+  apply(reverse);
+  const auto third = apply(update);
+  EXPECT_GT(first.second, 0);
+  EXPECT_EQ(first, third);
 }
 
 // ------------------------- score-path equivalences ------------------------
@@ -491,6 +525,112 @@ TEST(ServeOracleTest, DynamicAdjacencyMutationsMatchBatchOperator) {
     for (int64_t k = begin; k < end; ++k) {
       EXPECT_EQ(walked[k - begin].first, norm.col_idx()[k]) << "row " << i;
       EXPECT_EQ(walked[k - begin].second, norm.values()[k]) << "row " << i;
+    }
+  }
+}
+
+// ------------------- fused combine vs its reference ----------------------
+
+/// Raw components of one synthetic view: attribute distances and per-
+/// relation residuals, plus the relation average in the form the scorer
+/// keeps it (0.0 + residual[r][i] / R over ascending r).
+struct SyntheticView {
+  bool attr_used = false;
+  bool struct_used = false;
+  std::vector<double> attr_val;
+  std::vector<std::vector<double>> residual;
+  std::vector<double> struct_avg;
+};
+
+/// kind: 0 = random, 1 = constant (the zero-stddev branch), 2 = random
+/// with signed zeros, denormals and large magnitudes mixed in.
+std::vector<double> SyntheticColumn(int n, int kind, Rng* rng) {
+  const double specials[] = {-0.0, 0.0, 4.9e-324, -2.2e-310, 1e150, -3e149};
+  std::vector<double> v(n);
+  for (int i = 0; i < n; ++i) {
+    if (kind == 1) {
+      v[i] = 0.375;
+    } else if (kind == 2 && i % 3 == 0) {
+      v[i] = specials[i % 6];
+    } else {
+      v[i] = rng->Normal(1.0, 2.0);
+    }
+  }
+  return v;
+}
+
+SyntheticView MakeSyntheticView(bool attr, bool structure, int n,
+                                int r_count, int kind, Rng* rng) {
+  SyntheticView view;
+  view.attr_used = attr;
+  view.struct_used = structure;
+  if (attr) view.attr_val = SyntheticColumn(n, kind, rng);
+  if (structure) {
+    for (int r = 0; r < r_count; ++r) {
+      view.residual.push_back(SyntheticColumn(n, kind, rng));
+    }
+    view.struct_avg.assign(n, 0.0);
+    for (int i = 0; i < n; ++i) {
+      double avg = 0.0;
+      for (int r = 0; r < r_count; ++r) avg += view.residual[r][i] / r_count;
+      view.struct_avg[i] = avg;
+    }
+  }
+  return view;
+}
+
+void ExpectFusedCombineMatchesReference(
+    const std::vector<SyntheticView>& synthetic, int n, int r_count,
+    float epsilon, const std::string& label) {
+  std::vector<ViewComponents> fused(synthetic.size());
+  std::vector<RawViewComponents> raw(synthetic.size());
+  for (size_t v = 0; v < synthetic.size(); ++v) {
+    fused[v].attr_used = raw[v].attr_used = synthetic[v].attr_used;
+    fused[v].struct_used = raw[v].struct_used = synthetic[v].struct_used;
+    fused[v].attr_val = raw[v].attr_val = &synthetic[v].attr_val;
+    fused[v].struct_avg = &synthetic[v].struct_avg;
+    raw[v].residual = &synthetic[v].residual;
+  }
+  const std::vector<double> got = CombineComponents(fused, n, r_count, epsilon);
+  const std::vector<double> want =
+      CombineComponentsNaive(raw, n, r_count, epsilon);
+  ASSERT_EQ(got.size(), want.size()) << label;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(double) * n), 0)
+      << label;
+}
+
+TEST(ServeOracleTest, FusedCombineMatchesStandardizeReference) {
+  // View layouts: attr-only, struct-only, mixed, a view that contributes
+  // nothing, and eight columns (more than one streaming pass holds).
+  const std::vector<std::vector<std::pair<bool, bool>>> layouts = {
+      {{true, false}},
+      {{false, true}},
+      {{true, true}},
+      {{true, true}, {false, false}, {true, false}, {false, true}},
+      {{true, true}, {true, true}, {true, true}},
+      {{true, true}, {true, true}, {true, true}, {true, true}},
+  };
+  Rng rng(2024);
+  for (size_t l = 0; l < layouts.size(); ++l) {
+    for (int n : {1, 2, 37, 1000}) {
+      for (int kind = 0; kind < 3; ++kind) {
+        for (float epsilon : {0.0f, 0.3f, 1.0f}) {
+          std::vector<SyntheticView> views;
+          for (size_t v = 0; v < layouts[l].size(); ++v) {
+            // The second view of a layout keeps its own column kind, so a
+            // constant component sits next to varying ones.
+            const int view_kind = v == 1 ? (kind + 1) % 3 : kind;
+            views.push_back(MakeSyntheticView(layouts[l][v].first,
+                                              layouts[l][v].second, n, 3,
+                                              view_kind, &rng));
+          }
+          ExpectFusedCombineMatchesReference(
+              views, n, 3, epsilon,
+              "layout " + std::to_string(l) + " n=" + std::to_string(n) +
+                  " kind=" + std::to_string(kind) +
+                  " eps=" + std::to_string(epsilon));
+        }
+      }
     }
   }
 }

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -68,6 +70,40 @@ TEST(TensorTest, RowNormAndDot) {
   Tensor t(2, 2, {3.0f, 4.0f, 1.0f, 0.0f});
   EXPECT_DOUBLE_EQ(t.RowNorm(0), 5.0);
   EXPECT_DOUBLE_EQ(t.RowDot(0, t, 1), 3.0);
+}
+
+TEST(TensorTest, RowDotsMatchRowDotBitForBit) {
+  // Each batched dot is its own ascending-column double chain, so it must
+  // equal RowDot to the bit — including signed zeros, denormal floats
+  // (whose products are exact normal doubles) and magnitudes near FLT_MAX.
+  const float specials[] = {-0.0f, 0.0f, 1e-40f, -3e-42f, 3.0e38f,
+                            -2.5e38f, 1e-20f, 7.0f};
+  const int rows = 11;
+  for (int d : {1, 3, 4, 7, 48, 65}) {
+    Tensor a = RandomTensor(rows, d, 31 + d);
+    Tensor b = RandomTensor(rows, d, 77 + d);
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < d; ++c) {
+        if ((r * 7 + c) % 3 == 0) a.at(r, c) = specials[(r + c) % 8];
+        if ((r * 5 + c) % 4 == 0) b.at(r, c) = specials[(r * 3 + c) % 8];
+      }
+    }
+    Rng rng(d);
+    for (int count = 0; count <= 9; ++count) {
+      for (int i = 0; i < rows; ++i) {
+        std::vector<int> cols(count);
+        for (int& col : cols) col = static_cast<int>(rng.UniformInt(rows));
+        std::vector<double> got(count + 1, 42.0);
+        a.RowDots(i, b, cols.data(), count, got.data());
+        std::vector<double> want(count + 1, 42.0);
+        for (int k = 0; k < count; ++k) want[k] = a.RowDot(i, b, cols[k]);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              sizeof(double) * (count + 1)),
+                  0)
+            << "d=" << d << " count=" << count << " row " << i;
+      }
+    }
+  }
 }
 
 TEST(TensorTest, ScalarAccessor) {
