@@ -7,15 +7,17 @@
 // memory/latency trade. Numbers land in docs/PERFORMANCE.md.
 //
 // Part two stands up the ShardRouter over DG-Fin and sweeps the shard
-// count {1, 2, 4}, reporting per-update p50/p99 latency, queue peaks, and
-// cache hit rates from ShardRouter::Stats(), verifying the drained
-// snapshot is bit-identical to the flat scorer, and enforcing a p99 SLO:
-// the sharded update path must beat the serial full re-score by at least
-// 2x per update (override the bound with UMGAD_SLO_P99_MS=<millis>). A
-// gate failure exits nonzero so CI can hold the line.
+// count {1, 2, 4}, replaying the stream kShardRepeats times per count and
+// reporting the median and min-max of edges/s and per-update p99 latency
+// from ShardRouter::Stats(). Every run verifies the drained snapshot is
+// bit-identical to the flat scorer and enforces a p99 SLO: the sharded
+// update path must beat the serial full re-score by at least 2x per
+// update (override the bound with UMGAD_SLO_P99_MS=<millis>). A gate
+// failure exits nonzero so CI can hold the line.
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -25,7 +27,6 @@
 #include "serve/online_scorer.h"
 #include "serve/serve_metrics.h"
 #include "serve/shard_router.h"
-#include "tensor/dispatch/precision.h"
 
 namespace umgad {
 namespace {
@@ -98,49 +99,30 @@ StreamResult RunStream(OnlineScorer* scorer,
   return result;
 }
 
-/// Low-precision serving at DG-Fin scale: the same update stream through
-/// fp32 / int8 / bf16 scorers (docs/PERFORMANCE.md §12). Reports per-update
-/// p50/p99 re-score latency and sustained throughput per precision, plus
-/// the serial full re-score cost — the quantized win shows up in both.
-void PrecisionSweep() {
-  std::cout << "\n=== Serving precision sweep (--precision) — DG-Fin ===\n\n";
-  const double scale = BenchScale(0.05);
-  const int stream_len = 200;
-  MultiplexGraph graph = bench::LoadBenchDataset("DG-Fin", /*seed=*/5, scale);
-  std::cout << "Graph: " << graph.Summary() << "\n";
+/// Median and range of one metric over repeated runs.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
 
-  UmgadModel model(bench::BenchUmgadConfig(/*seed=*/13, /*default_epochs=*/5));
-  UMGAD_CHECK(model.Fit(graph).ok());
-  Result<TrainedModel> trained = TrainedModel::FromFitted(model, graph);
-  UMGAD_CHECK(trained.ok());
-
-  const std::vector<EdgeUpdate> updates = MakeStream(graph, stream_len, 47);
-
-  TablePrinter table;
-  table.SetHeader({"Precision", "Edges/s", "p50 (us)", "p99 (us)",
-                   "Full re-score (ms)"});
-  for (const dispatch::Precision precision :
-       {dispatch::Precision::kFp32, dispatch::Precision::kInt8,
-        dispatch::Precision::kBf16}) {
-    ServeOptions options;
-    options.precision = precision;
-    Result<std::unique_ptr<OnlineScorer>> scorer =
-        OnlineScorer::Create(*trained, graph, options);
-    UMGAD_CHECK(scorer.ok());
-    WallTimer naive_timer;
-    (void)(*scorer)->RescoreFullNaive();
-    const double naive_ms = naive_timer.ElapsedMillis();
-    const StreamResult r = RunStream(scorer->get(), updates);
-    table.AddRow({dispatch::PrecisionName(precision),
-                  FormatFloat(r.edges_per_sec, 0), FormatFloat(r.p50_us, 1),
-                  FormatFloat(r.p99_us, 1), FormatFloat(naive_ms, 2)});
-  }
-  table.Print(std::cout);
+Spread SpreadOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return {values[values.size() / 2], values.front(), values.back()};
 }
 
-/// Sharded serving at DG-Fin scale: shard-count sweep, latency metrics,
-/// the drained-bit-equality check, and the p99 SLO gate. Returns the
-/// process exit code (nonzero = SLO or equality violation).
+std::string FormatSpread(const Spread& s, int digits) {
+  return FormatFloat(s.median, digits) + " (" + FormatFloat(s.min, digits) +
+         "-" + FormatFloat(s.max, digits) + ")";
+}
+
+/// Stream replays per shard count; odd, so the median is one run.
+constexpr int kShardRepeats = 5;
+
+/// Sharded serving at DG-Fin scale: shard-count sweep repeated
+/// kShardRepeats times, latency metrics, the drained-bit-equality check,
+/// and the p99 SLO gate on every run. Returns the process exit code
+/// (nonzero = SLO or equality violation).
 int ShardSweep() {
   std::cout << "\n=== Sharded serving (ShardRouter) — DG-Fin ===\n\n";
   const double scale = BenchScale(0.05);
@@ -178,52 +160,64 @@ int ShardSweep() {
   }
 
   TablePrinter table;
-  table.SetHeader({"Shards", "Edges/s", "p50 (us)", "p99 (us)",
-                   "Publish p99 (us)", "Queue peak", "Hit rate", "Drained"});
+  table.SetHeader({"Shards", "Edges/s median (min-max)",
+                   "p99 us median (min-max)", "p50 (us)", "Publish p99 (us)",
+                   "Queue peak", "Hit rate", "Drained"});
   bool gate_ok = true;
   double worst_p99_us = 0.0;
   for (int shards : {1, 2, 4}) {
     serve::RouterOptions options;
     options.num_shards = shards;
     options.max_burst = 16;
-    auto router = serve::ShardRouter::Create(*trained, graph, options);
-    UMGAD_CHECK_MSG(router.ok(), router.status().ToString().c_str());
-
-    WallTimer timer;
-    for (size_t k = 0; k < updates.size(); k += 16) {
-      const size_t end = std::min(updates.size(), k + 16);
-      (*router)->Submit(std::vector<EdgeUpdate>(
-          updates.begin() + static_cast<long>(k),
-          updates.begin() + static_cast<long>(end)));
-    }
-    (*router)->Flush();
-    const double seconds = timer.ElapsedSeconds();
-
-    const serve::RouterStats stats = (*router)->Stats();
-    UMGAD_CHECK(stats.stream_consistent);
+    std::vector<double> edges_per_sec;
+    std::vector<double> p99_us;
+    std::vector<double> p50_us;
+    std::vector<double> publish_p99_us;
+    std::vector<double> hit_rate;
     int64_t queue_peak = 0;
-    for (const auto& s : stats.shards) {
-      queue_peak = std::max(queue_peak, s.queue_peak);
-    }
-    const std::vector<double>& drained = (*router)->Snapshot()->scores;
-    bool identical = drained.size() == reference.size();
-    for (size_t i = 0; identical && i < drained.size(); ++i) {
-      identical = drained[i] == reference[i];
+    bool identical = true;
+    for (int rep = 0; rep < kShardRepeats; ++rep) {
+      auto router = serve::ShardRouter::Create(*trained, graph, options);
+      UMGAD_CHECK_MSG(router.ok(), router.status().ToString().c_str());
+
+      WallTimer timer;
+      for (size_t k = 0; k < updates.size(); k += 16) {
+        const size_t end = std::min(updates.size(), k + 16);
+        (*router)->Submit(std::vector<EdgeUpdate>(
+            updates.begin() + static_cast<long>(k),
+            updates.begin() + static_cast<long>(end)));
+      }
+      (*router)->Flush();
+      const double seconds = timer.ElapsedSeconds();
+
+      const serve::RouterStats stats = (*router)->Stats();
+      UMGAD_CHECK(stats.stream_consistent);
+      for (const auto& s : stats.shards) {
+        queue_peak = std::max(queue_peak, s.queue_peak);
+      }
+      const std::vector<double>& drained = (*router)->Snapshot()->scores;
+      identical = identical && drained == reference;
+      worst_p99_us = std::max(worst_p99_us, stats.update_latency.p99_us);
+      edges_per_sec.push_back(seconds > 0 ? updates.size() / seconds : 0.0);
+      p99_us.push_back(stats.update_latency.p99_us);
+      p50_us.push_back(stats.update_latency.p50_us);
+      publish_p99_us.push_back(stats.publish_latency.p99_us);
+      hit_rate.push_back(stats.cache_hit_rate);
     }
     gate_ok = gate_ok && identical;
-    worst_p99_us = std::max(worst_p99_us, stats.update_latency.p99_us);
     table.AddRow({StrFormat("%d", shards),
-                  FormatFloat(seconds > 0 ? updates.size() / seconds : 0.0, 0),
-                  FormatFloat(stats.update_latency.p50_us, 1),
-                  FormatFloat(stats.update_latency.p99_us, 1),
-                  FormatFloat(stats.publish_latency.p99_us, 1),
+                  FormatSpread(SpreadOf(edges_per_sec), 0),
+                  FormatSpread(SpreadOf(p99_us), 1),
+                  FormatFloat(SpreadOf(p50_us).median, 1),
+                  FormatFloat(SpreadOf(publish_p99_us).median, 1),
                   StrFormat("%lld", static_cast<long long>(queue_peak)),
-                  FormatFloat(100.0 * stats.cache_hit_rate, 1) + "%",
+                  FormatFloat(100.0 * SpreadOf(hit_rate).median, 1) + "%",
                   identical ? "bit-identical" : "MISMATCH"});
   }
   table.Print(std::cout);
 
-  std::cout << "\nSLO gate: worst p99 " << FormatFloat(worst_p99_us / 1000.0, 3)
+  std::cout << "\n" << kShardRepeats << " runs per shard count.\n"
+            << "SLO gate: worst p99 over every run " << FormatFloat(worst_p99_us / 1000.0, 3)
             << " ms vs bound " << FormatFloat(slo_p99_ms, 3) << " ms ("
             << (std::getenv("UMGAD_SLO_P99_MS") != nullptr
                     ? "UMGAD_SLO_P99_MS"
@@ -289,7 +283,6 @@ int Main() {
             << FormatFloat(naive_ms, 2) << " ms ("
             << FormatFloat(1000.0 / std::max(naive_ms, 1e-9), 1)
             << " updates/s if recomputed per edge)\n";
-  PrecisionSweep();
   return ShardSweep();
 }
 

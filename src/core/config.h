@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "graph/partition/partition_options.h"
-
 namespace umgad {
 
 /// Encoder family for the GMAEs ("Our method adopts GAT and simplified GCN
@@ -69,16 +67,6 @@ struct UmgadConfig {
   /// the anomaly score.
   int num_score_negatives = 16;
   uint64_t seed = 1;
-
-  // --- Partitioned training (src/graph/partition/) ---
-  /// Cache-sized blocks P for block-affine training. 0 defers to the
-  /// UMGAD_PARTITIONS environment variable; a resolved value <= 1 runs the
-  /// flat engine. Purely a performance knob: results are bit-identical for
-  /// any value (and it is deliberately NOT serialised into .umgm models).
-  int partitions = 0;
-  /// Partitioner heuristic; UMGAD_PARTITION_METHOD ("dbh" | "hdrf")
-  /// overrides when set.
-  PartitionMethod partition_method = PartitionMethod::kDbh;
 
   // --- Ablation switches (Table IV) ---
   /// w/o M: replace the GMAE with a plain GAE (no [MASK] token, no edge

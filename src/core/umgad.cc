@@ -6,7 +6,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/scorer.h"
-#include "graph/partition/partitioner.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 
@@ -64,24 +63,6 @@ Status UmgadModel::Fit(const MultiplexGraph& graph) {
   for (int r = 0; r < r_count; ++r) {
     norm_adjs.push_back(std::make_shared<const SparseMatrix>(
         graph.layer(r).NormalizedWithSelfLoops()));
-  }
-  // Partitioned training (perf-only; bit-identical for any P): derive the
-  // cache-blocked row schedule once per graph — the node set is shared by
-  // all relations — and attach it to every shared operator. Views reuse it
-  // across relations x masking repeats and re-attach it to their perturbed
-  // per-repeat operators; a resolved count <= 1 with partitions == 0 keeps
-  // the flat engine as the oracle path.
-  const int num_partitions = ResolvePartitionCount(config_.partitions);
-  if (num_partitions >= 1) {
-    PartitionOptions popts;
-    popts.num_blocks = num_partitions;
-    popts.method = ResolvePartitionMethod(config_.partition_method);
-    popts.seed = config_.seed;
-    Result<VertexPartition> part = PartitionGraph(graph, popts);
-    if (!part.ok()) return part.status();
-    for (int r = 0; r < r_count; ++r) {
-      norm_adjs[r]->AttachRowBlocks(part.value().blocks);
-    }
   }
   // Prewarm the backward ownership indexes these operators will need on
   // every epoch (cached per matrix): the transposed CSR for the Spmm
@@ -186,9 +167,8 @@ Status UmgadModel::Fit(const MultiplexGraph& graph) {
         ag::VarPtr zo = ag::RowL2Normalize(anchor);
         std::vector<ag::VarPtr> cl_terms;
         for (const ag::VarPtr& other : others) {
-          cl_terms.push_back(ag::DualContrastiveLoss(
-              zo, ag::RowL2Normalize(other), neg,
-              norm_adjs[0]->row_blocks()));
+          cl_terms.push_back(
+              ag::DualContrastiveLoss(zo, ag::RowL2Normalize(other), neg));
         }
         terms.push_back(ag::ScalarMul(
             cl_terms.size() == 1 ? cl_terms[0] : ag::AddN(cl_terms),

@@ -19,16 +19,8 @@ std::vector<int> AllNodes(int n) {
 namespace {
 
 /// Normalised operator for a perturbed adjacency, shared into the tape.
-/// When the full operators carry a partition schedule, the perturbed
-/// per-repeat operator reuses it — masking removes edges, never nodes, so
-/// the row ownership still applies.
-std::shared_ptr<const SparseMatrix> NormShared(
-    const SparseMatrix& adj,
-    std::shared_ptr<const RowBlocks> blocks = nullptr) {
-  auto op =
-      std::make_shared<const SparseMatrix>(adj.NormalizedWithSelfLoops());
-  if (blocks != nullptr) op->AttachRowBlocks(std::move(blocks));
-  return op;
+std::shared_ptr<const SparseMatrix> NormShared(const SparseMatrix& adj) {
+  return std::make_shared<const SparseMatrix>(adj.NormalizedWithSelfLoops());
 }
 
 /// Uniform subsample of `edges` down to `cap` (order not preserved).
@@ -164,9 +156,6 @@ ViewForward ReconstructionView::ForwardOriginal(
     }
   }
 
-  // Partition schedule shared by all relations (null when unpartitioned).
-  const std::shared_ptr<const RowBlocks> blocks =
-      norm_adjs.empty() ? nullptr : norm_adjs[0]->row_blocks();
   std::vector<std::vector<ag::VarPtr>> recons(
       repeats, std::vector<ag::VarPtr>(r_count));
   std::vector<std::vector<ag::VarPtr>> per_relation(
@@ -186,11 +175,10 @@ ViewForward ReconstructionView::ForwardOriginal(
           per_relation[k][r] = ag::Constant(Tensor(1, 1));
         } else {
           std::shared_ptr<const SparseMatrix> op =
-              draw.perturbed ? NormShared(draw.remaining, blocks)
-                             : norm_adjs[r];
+              draw.perturbed ? NormShared(draw.remaining) : norm_adjs[r];
           ag::VarPtr z = struct_gmae_[r]->Embed(op, x);
           per_relation[k][r] =
-              ag::MaskedEdgeSoftmaxCE(z, std::move(draw.cands), blocks);
+              ag::MaskedEdgeSoftmaxCE(z, std::move(draw.cands));
         }
       }
     }
@@ -209,7 +197,7 @@ ViewForward ReconstructionView::ForwardOriginal(
       const std::vector<int>& loss_idx =
           config_.use_masking ? attr_masks[k] : AllNodes(n);
       attr_losses.push_back(
-          ag::ScaledCosineLoss(fused, x, loss_idx, config_.eta, blocks));
+          ag::ScaledCosineLoss(fused, x, loss_idx, config_.eta));
       last_fused = fused;
     }
     if (config_.use_structure_recon) {
@@ -262,13 +250,11 @@ ViewForward ReconstructionView::ForwardAttrAugmented(
 
   std::vector<ag::VarPtr> losses;
   ag::VarPtr last_fused;
-  const std::shared_ptr<const RowBlocks> blocks =
-      norm_adjs.empty() ? nullptr : norm_adjs[0]->row_blocks();
   for (int k = 0; k < repeats; ++k) {
     ag::VarPtr fused = fusion_a_->FuseTensors(recons[k]);
     // Eq. 13: the target is the *original* attribute matrix.
     losses.push_back(ag::ScaledCosineLoss(fused, x, swaps[k].swapped_nodes,
-                                          config_.eta, blocks));
+                                          config_.eta));
     last_fused = fused;
   }
 
@@ -284,11 +270,6 @@ ViewForward ReconstructionView::ForwardSubgraphAugmented(
     Rng* rng) const {
   const Tensor& x = graph.attributes();
   const int r_count = graph.num_relations();
-  // Partition schedule shared by all relations (null when unpartitioned);
-  // this view builds only perturbed operators, so the schedule is the sole
-  // thing it takes from the full ones.
-  const std::shared_ptr<const RowBlocks> blocks =
-      norm_adjs.empty() ? nullptr : norm_adjs[0]->row_blocks();
 
   const int repeats = config_.mask_repeats;
 
@@ -341,7 +322,7 @@ ViewForward ReconstructionView::ForwardSubgraphAugmented(
       const int k = static_cast<int>(t / r_count);
       const int r = static_cast<int>(t % r_count);
       std::shared_ptr<const SparseMatrix> op =
-          NormShared(masks[k][r].remaining, blocks);
+          NormShared(masks[k][r].remaining);
       if (config_.use_attribute_recon) {
         recons[k][r] = attr_gmae_[r]->ReconstructAttributes(
             op, x,
@@ -353,8 +334,7 @@ ViewForward ReconstructionView::ForwardSubgraphAugmented(
         } else {
           ag::VarPtr z = attr_gmae_[r]->Embed(op, x);
           per_relation_struct[k][r] =
-              ag::MaskedEdgeSoftmaxCE(z, std::move(draws[k][r].cands),
-                                      blocks);
+              ag::MaskedEdgeSoftmaxCE(z, std::move(draws[k][r].cands));
         }
       }
     }
@@ -368,7 +348,7 @@ ViewForward ReconstructionView::ForwardSubgraphAugmented(
       ag::VarPtr fused = fusion_a_->FuseTensors(recons[k]);
       if (!union_masked[k].empty()) {
         attr_losses.push_back(ag::ScaledCosineLoss(
-            fused, x, union_masked[k], config_.eta, blocks));
+            fused, x, union_masked[k], config_.eta));
       }
       last_fused = fused;
     }

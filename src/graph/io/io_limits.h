@@ -17,18 +17,16 @@ constexpr int64_t kMaxRelations = 4'096;
 constexpr int64_t kMaxNameLen = 4'096;
 constexpr int64_t kMaxAttributeEntries = int64_t{1} << 31;  // 8 GiB of f32
 
-/// Training-side partition fan-out cap (umgad_cli --partitions /
-/// UMGAD_PARTITIONS): far above any useful block count (blocks are
-/// cache-sized, so even a 10^8-node graph wants only thousands), low
-/// enough that per-vertex x per-block bookkeeping stays harmless.
-constexpr int64_t kMaxPartitions = 65'536;
+/// Serving-side shard fan-out cap (umgad_cli serve --shards /
+/// RouterOptions::num_shards): each shard is one OS thread plus a full
+/// scorer replica, so the count must stay small whatever the input asks.
+constexpr int64_t kMaxShards = 256;
 
 /// Overflow-guarded element count: a * b as int64, or -1 when either
 /// factor is negative or the product would overflow or exceed `cap`.
 /// The one size-check helper shared by every size-field consumer —
 /// the graph loaders (nodes x features attribute buffers), the CSR
-/// validator behind SparseMatrix::FromCsr, and the partition builder
-/// (vertices x blocks incidence counters) — so "multiply two
+/// validator behind SparseMatrix::FromCsr — so "multiply two
 /// attacker-controlled sizes" is never re-derived ad hoc per site.
 /// Header-only on purpose: the tensor layer includes it without
 /// linking umgad_graph.

@@ -4,12 +4,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <string>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "common/timer.h"
-#include "graph/partition/partitioner.h"
+#include "graph/io/io_limits.h"
 
 namespace umgad {
 namespace serve {
@@ -218,6 +219,16 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
   if (options.num_shards < 1) {
     return Status::InvalidArgument("ShardRouter needs num_shards >= 1");
   }
+  // Checked before any replica or worker thread exists: each shard costs
+  // one OS thread and a full scorer replica, and a shard owns >= 1 node.
+  const int64_t max_shards =
+      std::min<int64_t>(io_limits::kMaxShards, graph.num_nodes());
+  if (options.num_shards > max_shards) {
+    return Status::InvalidArgument(
+        "ShardRouter needs num_shards <= min(" +
+        std::to_string(io_limits::kMaxShards) + ", num_nodes) = " +
+        std::to_string(max_shards));
+  }
   if (options.queue_capacity < 1 || options.max_burst < 1) {
     return Status::InvalidArgument(
         "ShardRouter needs queue_capacity >= 1 and max_burst >= 1");
@@ -236,19 +247,11 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
   impl.r_count = graph.num_relations();
   impl.epsilon = model.config().epsilon;
 
-  // Whole-row vertex ownership from the streaming edge partitioner —
-  // exactly the schedule partitioned training uses, so shard balance
-  // follows the same replication/balance stats (PartitionStats).
-  if (options.num_shards == 1) {
-    impl.shard_of.assign(impl.n, 0);
-  } else {
-    PartitionOptions popt;
-    popt.num_blocks = options.num_shards;
-    popt.method = options.partition_method;
-    UMGAD_ASSIGN_OR_RETURN(VertexPartition partition,
-                           PartitionGraph(graph, popt));
-    impl.shard_of = partition.blocks->block_of;
-  }
+  // Whole-row vertex ownership by v % S: every shard replicates the full
+  // adjacency, so ownership only splits the re-scoring work, and a
+  // degree-aware edge partition (DBH) measured no faster than this.
+  impl.shard_of.resize(impl.n);
+  for (int i = 0; i < impl.n; ++i) impl.shard_of[i] = i % options.num_shards;
   impl.owned_lists.assign(options.num_shards, {});
   for (int i = 0; i < impl.n; ++i) {
     impl.owned_lists[impl.shard_of[i]].push_back(i);

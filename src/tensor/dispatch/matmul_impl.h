@@ -6,8 +6,7 @@
 namespace umgad {
 namespace dispatch {
 
-/// Rows of C per portable-tier micro-kernel call (matmul_variants.cc); also
-/// the panel height of the int8 packing in quantize.cc.
+/// Rows of C per portable-tier micro-kernel call (matmul_variants.cc).
 inline constexpr int kMicroRows = 8;
 
 /// Below this many multiply-adds, packing and dispatch cost more than the

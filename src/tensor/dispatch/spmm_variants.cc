@@ -1,4 +1,5 @@
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "tensor/dispatch/builtin_kernels.h"
 #include "tensor/dispatch/registry.h"
 #include "tensor/sparse.h"
@@ -31,10 +32,7 @@ Tensor SpmmVariantSerial(const SparseMatrix& s, const Tensor& x) {
 }
 
 /// Row-partitioned: each output row is produced by exactly one task with
-/// the same nonzero order, so results are invariant to the thread count and
-/// to the schedule — flat row ranges, or block-affine when a partition
-/// schedule is attached (each lane then walks whole blocks whose
-/// neighbourhoods stay cache-resident).
+/// the same nonzero order, so results are invariant to the thread count.
 Tensor SpmmVariantBlocked(const SparseMatrix& s, const Tensor& x) {
   UMGAD_CHECK_EQ(s.cols(), x.rows());
   const int d = x.cols();
@@ -42,13 +40,14 @@ Tensor SpmmVariantBlocked(const SparseMatrix& s, const Tensor& x) {
   const ConstSpan<int64_t> row_ptr = s.row_ptr();
   const ConstSpan<int> col_idx = s.col_idx();
   const ConstSpan<float> values = s.values();
-  const std::shared_ptr<const RowBlocks> blocks = s.row_blocks();
-  ForEachRowBlocked(s.rows(), blocks.get(), kSpmmRowGrain, [&](int i) {
-    float* yrow = y.row(i);
-    for (int64_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const float v = values[k];
-      const float* xrow = x.row(col_idx[k]);
-      for (int j = 0; j < d; ++j) yrow[j] += v * xrow[j];
+  ParallelFor(s.rows(), kSpmmRowGrain, [&](int64_t i0, int64_t i1) {
+    for (int i = static_cast<int>(i0); i < i1; ++i) {
+      float* yrow = y.row(i);
+      for (int64_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+        const float v = values[k];
+        const float* xrow = x.row(col_idx[k]);
+        for (int j = 0; j < d; ++j) yrow[j] += v * xrow[j];
+      }
     }
   });
   return y;

@@ -110,35 +110,6 @@ bool HasDuplicateRows(const std::vector<int>& idx) {
   return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
 }
 
-/// Regroup a loss's scatter positions 0..m-1 by the partition block of the
-/// row each position touches (key(k) -> global row), producing a schedule
-/// ForEachRowBlocked can iterate. Positions stay ascending within a block
-/// (stable counting sort), and every position is still processed exactly
-/// once by one thread, so the blocked sweep computes the same floats as the
-/// flat one — it only changes which rows a worker touches consecutively.
-template <typename KeyFn>
-std::shared_ptr<const RowBlocks> PositionBlocks(const RowBlocks* rows,
-                                                int64_t m, KeyFn&& key) {
-  if (rows == nullptr || rows->num_blocks <= 1) return nullptr;
-  const int p = rows->num_blocks;
-  auto out = std::make_shared<RowBlocks>();
-  out->num_blocks = p;
-  out->block_of.resize(m);
-  out->block_ptr.assign(p + 1, 0);
-  for (int64_t k = 0; k < m; ++k) {
-    out->block_of[k] = rows->block_of[key(k)];
-    ++out->block_ptr[out->block_of[k] + 1];
-  }
-  for (int b = 0; b < p; ++b) out->block_ptr[b + 1] += out->block_ptr[b];
-  out->order.resize(m);
-  std::vector<int64_t> fill(out->block_ptr.begin(),
-                            out->block_ptr.end() - 1);
-  for (int64_t k = 0; k < m; ++k) {
-    out->order[fill[out->block_of[k]]++] = static_cast<int>(k);
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -521,8 +492,7 @@ VarPtr Mean(const VarPtr& a) {
 // ---------------------------------------------------------------------------
 
 VarPtr ScaledCosineLoss(const VarPtr& recon, const Tensor& target,
-                        std::vector<int> idx, float eta,
-                        std::shared_ptr<const RowBlocks> blocks) {
+                        std::vector<int> idx, float eta) {
   UMGAD_CHECK(recon->value().SameShape(target));
   UMGAD_CHECK(!idx.empty());
   UMGAD_CHECK_GE(eta, 1.0f);
@@ -530,11 +500,6 @@ VarPtr ScaledCosineLoss(const VarPtr& recon, const Tensor& target,
 
   const Tensor& r = recon->value();
   const int m = static_cast<int>(idx.size());
-  // Block-affine schedule over the index pool: positions grouped by the
-  // partition block of their target row, so one worker streams rows that
-  // live together in cache.
-  const std::shared_ptr<const RowBlocks> pool_blocks =
-      PositionBlocks(blocks.get(), m, [&](int64_t k) { return idx[k]; });
   std::vector<double> cos(m, 0.0);
   std::vector<double> rnorm(m, 0.0);
   std::vector<double> tnorm(m, 0.0);
@@ -542,17 +507,19 @@ VarPtr ScaledCosineLoss(const VarPtr& recon, const Tensor& target,
   // Phase 1 — per-row cosines and loss terms in parallel (slot k is owned
   // by the thread that processes it; every term is computed exactly as the
   // serial loop computes it).
-  ForEachRowBlocked(m, pool_blocks.get(), kRowGrain, [&](int k) {
-    const int i = idx[k];
-    rnorm[k] = r.RowNorm(i);
-    tnorm[k] = target.RowNorm(i);
-    if (rnorm[k] < kEps || tnorm[k] < kEps) {
-      cos[k] = 0.0;
-    } else {
-      cos[k] = r.RowDot(i, target, i) / (rnorm[k] * tnorm[k]);
-      cos[k] = std::clamp(cos[k], -1.0, 1.0);
+  ParallelFor(m, kRowGrain, [&](int64_t k0, int64_t k1) {
+    for (int64_t k = k0; k < k1; ++k) {
+      const int i = idx[k];
+      rnorm[k] = r.RowNorm(i);
+      tnorm[k] = target.RowNorm(i);
+      if (rnorm[k] < kEps || tnorm[k] < kEps) {
+        cos[k] = 0.0;
+      } else {
+        cos[k] = r.RowDot(i, target, i) / (rnorm[k] * tnorm[k]);
+        cos[k] = std::clamp(cos[k], -1.0, 1.0);
+      }
+      term[k] = std::pow(1.0 - cos[k], static_cast<double>(eta));
     }
-    term[k] = std::pow(1.0 - cos[k], static_cast<double>(eta));
   });
   // Phase 2 — scalar sum in index order: the serial loop's accumulation.
   double loss = 0.0;
@@ -563,8 +530,7 @@ VarPtr ScaledCosineLoss(const VarPtr& recon, const Tensor& target,
   VarPtr node = MakeNode(
       std::move(out), {recon}, "scaled_cosine_loss",
       [idx = std::move(idx), target, eta, cos = std::move(cos),
-       rnorm = std::move(rnorm), tnorm = std::move(tnorm),
-       pool_blocks](Node* self) {
+       rnorm = std::move(rnorm), tnorm = std::move(tnorm)](Node* self) {
         const auto& in = self->inputs();
         if (!Wants(in[0])) return;
         const double gv = self->grad().scalar();
@@ -590,16 +556,17 @@ VarPtr ScaledCosineLoss(const VarPtr& recon, const Tensor& target,
                 dldc * (trow[j] * inv_rt - c_over_r2 * rrow[j]));
           }
         };
-        // Serial when idx aliases rows (the blocked/parallel sweep needs
-        // exclusive row ownership) or when flat single-threaded anyway;
-        // otherwise each k writes only dr.row(idx[k]), which it owns
-        // exclusively, so the blocked sweep is race-free and order-proof —
-        // it runs even at one thread to keep the cache-blocked row order.
+        // Serial when idx aliases rows (the parallel sweep needs exclusive
+        // row ownership) or when single-threaded anyway; otherwise each k
+        // writes only dr.row(idx[k]), which it owns exclusively, so the
+        // sweep is race-free and order-proof.
         if (ThreadPool::InParallelRegion() || HasDuplicateRows(idx) ||
-            (NumThreads() == 1 && pool_blocks == nullptr)) {
+            NumThreads() == 1) {
           for (int k = 0; k < m; ++k) row_grad(k);
         } else {
-          ForEachRowBlocked(m, pool_blocks.get(), kRowGrain, row_grad);
+          ParallelFor(m, kRowGrain, [&](int64_t k0, int64_t k1) {
+            for (int64_t k = k0; k < k1; ++k) row_grad(static_cast<int>(k));
+          });
         }
       });
   node->set_wide_backward(true);
@@ -711,38 +678,35 @@ VarPtr MseLoss(const VarPtr& recon, const Tensor& target,
 }
 
 VarPtr MaskedEdgeSoftmaxCE(const VarPtr& z,
-                           std::vector<EdgeCandidateSet> sets,
-                           std::shared_ptr<const RowBlocks> blocks) {
+                           std::vector<EdgeCandidateSet> sets) {
   UMGAD_CHECK(!sets.empty());
   const Tensor& zv = z->value();
   const int m = static_cast<int>(sets.size());
-  // Block-affine schedule over the sets, keyed by source row (the row
-  // every candidate dot of the set streams against).
-  const std::shared_ptr<const RowBlocks> set_blocks = PositionBlocks(
-      blocks.get(), m, [&](int64_t e) { return sets[e].src; });
   std::vector<std::vector<float>> probs(m);
   std::vector<double> term(m, 0.0);
   // Phase 1 — per-set softmaxes fan out (slot e owned by its thread).
-  ForEachRowBlocked(m, set_blocks.get(), kSetGrain, [&](int e) {
-    const auto& set = sets[e];
-    UMGAD_CHECK(!set.cands.empty());
-    const int nc = static_cast<int>(set.cands.size());
-    std::vector<double> scores(nc);
-    double mx = -1e300;
-    for (int c = 0; c < nc; ++c) {
-      scores[c] = zv.RowDot(set.src, zv, set.cands[c]);
-      mx = std::max(mx, scores[c]);
+  ParallelFor(m, kSetGrain, [&](int64_t e0, int64_t e1) {
+    for (int e = static_cast<int>(e0); e < e1; ++e) {
+      const auto& set = sets[e];
+      UMGAD_CHECK(!set.cands.empty());
+      const int nc = static_cast<int>(set.cands.size());
+      std::vector<double> scores(nc);
+      double mx = -1e300;
+      for (int c = 0; c < nc; ++c) {
+        scores[c] = zv.RowDot(set.src, zv, set.cands[c]);
+        mx = std::max(mx, scores[c]);
+      }
+      double denom = 0.0;
+      for (int c = 0; c < nc; ++c) {
+        scores[c] = std::exp(scores[c] - mx);
+        denom += scores[c];
+      }
+      probs[e].resize(nc);
+      for (int c = 0; c < nc; ++c) {
+        probs[e][c] = static_cast<float>(scores[c] / denom);
+      }
+      term[e] = -std::log(std::max(static_cast<double>(probs[e][0]), 1e-30));
     }
-    double denom = 0.0;
-    for (int c = 0; c < nc; ++c) {
-      scores[c] = std::exp(scores[c] - mx);
-      denom += scores[c];
-    }
-    probs[e].resize(nc);
-    for (int c = 0; c < nc; ++c) {
-      probs[e][c] = static_cast<float>(scores[c] / denom);
-    }
-    term[e] = -std::log(std::max(static_cast<double>(probs[e][0]), 1e-30));
   });
   // Phase 2 — scalar sum in set order (the serial accumulation).
   double loss = 0.0;
@@ -752,8 +716,7 @@ VarPtr MaskedEdgeSoftmaxCE(const VarPtr& z,
 
   VarPtr node = MakeNode(
       std::move(out), {z}, "masked_edge_softmax_ce",
-      [sets = std::move(sets), probs = std::move(probs),
-       blocks = std::move(blocks)](Node* self) {
+      [sets = std::move(sets), probs = std::move(probs)](Node* self) {
         const auto& in = self->inputs();
         if (!Wants(in[0])) return;
         const double gv = self->grad().scalar();
@@ -762,19 +725,11 @@ VarPtr MaskedEdgeSoftmaxCE(const VarPtr& z,
         const int d = zv.cols();
         const int n = zv.rows();
         const double coef = gv / static_cast<double>(sets.size());
-        const RowBlocks* row_blocks =
-            (blocks != nullptr &&
-             static_cast<int64_t>(blocks->block_of.size()) == n)
-                ? blocks.get()
-                : nullptr;
-        if (ThreadPool::InParallelRegion() ||
-            (NumThreads() == 1 && row_blocks == nullptr)) {
-          // One flat lane (or inlined inside an outer fan-out): the
-          // ownership buckets below would cost an O(C + N) build with
-          // nothing to gain, so run the serial scatter directly —
-          // bit-identical by the oracle contract, just cheaper. With a
-          // partition attached the bucketed path runs even at one thread,
-          // for the cache-blocked destination-row order.
+        if (ThreadPool::InParallelRegion() || NumThreads() == 1) {
+          // One lane (or inlined inside an outer fan-out): the ownership
+          // buckets below would cost an O(C + N) build with nothing to
+          // gain, so run the serial scatter directly — bit-identical by
+          // the oracle contract, just cheaper.
           for (size_t e = 0; e < sets.size(); ++e) {
             const auto& set = sets[e];
             const float* zsrc = zv.row(set.src);
@@ -829,14 +784,16 @@ VarPtr MaskedEdgeSoftmaxCE(const VarPtr& z,
             delta[slot] = dl;
           }
         }
-        ForEachRowBlocked(n, row_blocks, kRowGrain, [&](int v) {
-          if (ptr[v] == ptr[v + 1]) return;
-          float* dzrow = dz.row(v);
-          for (int64_t p = ptr[v]; p < ptr[v + 1]; ++p) {
-            const float* zrow = zv.row(other[p]);
-            const double dl = delta[p];
-            for (int j = 0; j < d; ++j) {
-              dzrow[j] += static_cast<float>(dl * zrow[j]);
+        ParallelFor(n, kRowGrain, [&](int64_t v0, int64_t v1) {
+          for (int v = static_cast<int>(v0); v < v1; ++v) {
+            if (ptr[v] == ptr[v + 1]) continue;
+            float* dzrow = dz.row(v);
+            for (int64_t p = ptr[v]; p < ptr[v + 1]; ++p) {
+              const float* zrow = zv.row(other[p]);
+              const double dl = delta[p];
+              for (int j = 0; j < d; ++j) {
+                dzrow[j] += static_cast<float>(dl * zrow[j]);
+              }
             }
           }
         });
@@ -954,34 +911,28 @@ VarPtr PairDotBceLoss(const VarPtr& a, const VarPtr& b,
 }
 
 VarPtr DualContrastiveLoss(const VarPtr& zo, const VarPtr& za,
-                           std::vector<int> neg_idx,
-                           std::shared_ptr<const RowBlocks> blocks) {
+                           std::vector<int> neg_idx) {
   const Tensor& o = zo->value();
   const Tensor& a = za->value();
   UMGAD_CHECK(o.SameShape(a));
   UMGAD_CHECK_EQ(static_cast<size_t>(o.rows()), neg_idx.size());
   const int n = o.rows();
-  // The loss is dense over all n rows, so the graph's RowBlocks schedule
-  // applies directly (dropped if it does not cover these rows).
-  const RowBlocks* fwd_blocks =
-      (blocks != nullptr &&
-       static_cast<int64_t>(blocks->block_of.size()) == n)
-          ? blocks.get()
-          : nullptr;
   std::vector<double> term(n, 0.0);
   std::vector<float> sig1(n);
   std::vector<float> sig2(n);
   // Phase 1 — per-row dot products / log-sum-exp in parallel.
-  ForEachRowBlocked(n, fwd_blocks, kRowGrain, [&](int i) {
-    const int j = neg_idx[i];
-    const double sp = o.RowDot(i, a, i);
-    const double s1 = o.RowDot(i, o, j);
-    const double s2 = o.RowDot(i, a, j);
-    const double mx = std::max(s1, s2);
-    const double lse = mx + std::log(std::exp(s1 - mx) + std::exp(s2 - mx));
-    term[i] = -sp + lse;
-    sig1[i] = static_cast<float>(std::exp(s1 - lse));
-    sig2[i] = static_cast<float>(std::exp(s2 - lse));
+  ParallelFor(n, kRowGrain, [&](int64_t i0, int64_t i1) {
+    for (int i = static_cast<int>(i0); i < i1; ++i) {
+      const int j = neg_idx[i];
+      const double sp = o.RowDot(i, a, i);
+      const double s1 = o.RowDot(i, o, j);
+      const double s2 = o.RowDot(i, a, j);
+      const double mx = std::max(s1, s2);
+      const double lse = mx + std::log(std::exp(s1 - mx) + std::exp(s2 - mx));
+      term[i] = -sp + lse;
+      sig1[i] = static_cast<float>(std::exp(s1 - lse));
+      sig2[i] = static_cast<float>(std::exp(s2 - lse));
+    }
   });
   // Phase 2 — scalar sum in row order.
   double loss = 0.0;
@@ -991,7 +942,7 @@ VarPtr DualContrastiveLoss(const VarPtr& zo, const VarPtr& za,
   VarPtr node = MakeNode(
       std::move(out), {zo, za}, "dual_contrastive",
       [neg_idx = std::move(neg_idx), sig1 = std::move(sig1),
-       sig2 = std::move(sig2), blocks = std::move(blocks)](Node* self) {
+       sig2 = std::move(sig2)](Node* self) {
         const auto& in = self->inputs();
         const double gv = self->grad().scalar();
         const Tensor& o = in[0]->value();
@@ -1002,11 +953,6 @@ VarPtr DualContrastiveLoss(const VarPtr& zo, const VarPtr& za,
         const bool wo = Wants(in[0]);
         const bool wa = Wants(in[1]);
         if (!wo && !wa) return;
-        const RowBlocks* row_blocks =
-            (blocks != nullptr &&
-             static_cast<int64_t>(blocks->block_of.size()) == n)
-                ? blocks.get()
-                : nullptr;
         // Negatives are shared (many i can draw the same j), so the serial
         // scatter cannot be partitioned by i. Ownership trick: each
         // destination row v receives its own term (i == v) plus one term
@@ -1026,64 +972,68 @@ VarPtr DualContrastiveLoss(const VarPtr& zo, const VarPtr& za,
         }
         if (wo) {
           Tensor& dzo = in[0]->grad();
-          ForEachRowBlocked(n, row_blocks, kRowGrain, [&](int v) {
-            float* dv = dzo.row(v);
-            int64_t p = ptr[v];
-            const int64_t end = ptr[v + 1];
-            // Incoming negatives with i < v land before row v's own
-            // term, the rest after. A self-negative (neg_idx[v] == v,
-            // excluded by the samplers but harmless) ties at i == v and
-            // lands after the own term — the serial doi-before-doj order.
-            for (; p < end && inc[p] < v; ++p) {
-              const int i = inc[p];
-              const float* oi = o.row(i);
-              for (int k = 0; k < d; ++k) {
-                dv[k] += static_cast<float>(coef * sig1[i] * oi[k]);
+          ParallelFor(n, kRowGrain, [&](int64_t v0, int64_t v1) {
+            for (int v = static_cast<int>(v0); v < v1; ++v) {
+              float* dv = dzo.row(v);
+              int64_t p = ptr[v];
+              const int64_t end = ptr[v + 1];
+              // Incoming negatives with i < v land before row v's own
+              // term, the rest after. A self-negative (neg_idx[v] == v,
+              // excluded by the samplers but harmless) ties at i == v and
+              // lands after the own term — the serial doi-before-doj order.
+              for (; p < end && inc[p] < v; ++p) {
+                const int i = inc[p];
+                const float* oi = o.row(i);
+                for (int k = 0; k < d; ++k) {
+                  dv[k] += static_cast<float>(coef * sig1[i] * oi[k]);
+                }
               }
-            }
-            {
-              const int j = neg_idx[v];
-              const float* av = a.row(v);
-              const float* oj = o.row(j);
-              const float* aj = a.row(j);
-              for (int k = 0; k < d; ++k) {
-                dv[k] += static_cast<float>(
-                    coef * (-av[k] + sig1[v] * oj[k] + sig2[v] * aj[k]));
+              {
+                const int j = neg_idx[v];
+                const float* av = a.row(v);
+                const float* oj = o.row(j);
+                const float* aj = a.row(j);
+                for (int k = 0; k < d; ++k) {
+                  dv[k] += static_cast<float>(
+                      coef * (-av[k] + sig1[v] * oj[k] + sig2[v] * aj[k]));
+                }
               }
-            }
-            for (; p < end; ++p) {
-              const int i = inc[p];
-              const float* oi = o.row(i);
-              for (int k = 0; k < d; ++k) {
-                dv[k] += static_cast<float>(coef * sig1[i] * oi[k]);
+              for (; p < end; ++p) {
+                const int i = inc[p];
+                const float* oi = o.row(i);
+                for (int k = 0; k < d; ++k) {
+                  dv[k] += static_cast<float>(coef * sig1[i] * oi[k]);
+                }
               }
             }
           });
         }
         if (wa) {
           Tensor& dza = in[1]->grad();
-          ForEachRowBlocked(n, row_blocks, kRowGrain, [&](int v) {
-            float* dv = dza.row(v);
-            int64_t p = ptr[v];
-            const int64_t end = ptr[v + 1];
-            for (; p < end && inc[p] < v; ++p) {
-              const int i = inc[p];
-              const float* oi = o.row(i);
-              for (int k = 0; k < d; ++k) {
-                dv[k] += static_cast<float>(coef * sig2[i] * oi[k]);
+          ParallelFor(n, kRowGrain, [&](int64_t v0, int64_t v1) {
+            for (int v = static_cast<int>(v0); v < v1; ++v) {
+              float* dv = dza.row(v);
+              int64_t p = ptr[v];
+              const int64_t end = ptr[v + 1];
+              for (; p < end && inc[p] < v; ++p) {
+                const int i = inc[p];
+                const float* oi = o.row(i);
+                for (int k = 0; k < d; ++k) {
+                  dv[k] += static_cast<float>(coef * sig2[i] * oi[k]);
+                }
               }
-            }
-            {
-              const float* ov = o.row(v);
-              for (int k = 0; k < d; ++k) {
-                dv[k] += static_cast<float>(-coef * ov[k]);
+              {
+                const float* ov = o.row(v);
+                for (int k = 0; k < d; ++k) {
+                  dv[k] += static_cast<float>(-coef * ov[k]);
+                }
               }
-            }
-            for (; p < end; ++p) {
-              const int i = inc[p];
-              const float* oi = o.row(i);
-              for (int k = 0; k < d; ++k) {
-                dv[k] += static_cast<float>(coef * sig2[i] * oi[k]);
+              for (; p < end; ++p) {
+                const int i = inc[p];
+                const float* oi = o.row(i);
+                for (int k = 0; k < d; ++k) {
+                  dv[k] += static_cast<float>(coef * sig2[i] * oi[k]);
+                }
               }
             }
           });
@@ -1166,25 +1116,24 @@ void EdgeSoftmaxForward(const SparseMatrix& adj, float slope, const Tensor& h,
                         std::vector<float>* alpha, std::vector<char>* pos) {
   const int n = h.rows();
   const int d = h.cols();
-  // Block-affine when the adjacency carries a partition schedule; the
-  // per-row arithmetic is untouched, so the floats match the flat sweep.
-  const std::shared_ptr<const RowBlocks> blocks = adj.row_blocks();
 
   // Per-node projections s_i = <a_src, h_i>, t_i = <a_dst, h_i>.
   std::vector<double> s(n, 0.0);
   std::vector<double> t(n, 0.0);
   const float* asv = a_src.data();
   const float* adv = a_dst.data();
-  ForEachRowBlocked(n, blocks.get(), kRowGrain, [&](int i) {
-    const float* hr = h.row(i);
-    double ss = 0.0;
-    double tt = 0.0;
-    for (int j = 0; j < d; ++j) {
-      ss += static_cast<double>(asv[j]) * hr[j];
-      tt += static_cast<double>(adv[j]) * hr[j];
+  ParallelFor(n, kRowGrain, [&](int64_t i0, int64_t i1) {
+    for (int i = static_cast<int>(i0); i < i1; ++i) {
+      const float* hr = h.row(i);
+      double ss = 0.0;
+      double tt = 0.0;
+      for (int j = 0; j < d; ++j) {
+        ss += static_cast<double>(asv[j]) * hr[j];
+        tt += static_cast<double>(adv[j]) * hr[j];
+      }
+      s[i] = ss;
+      t[i] = tt;
     }
-    s[i] = ss;
-    t[i] = tt;
   });
 
   const auto& row_ptr = adj.row_ptr();
@@ -1197,28 +1146,30 @@ void EdgeSoftmaxForward(const SparseMatrix& adj, float slope, const Tensor& h,
   // Row-partitioned: node i owns its edge slice [row_ptr[i], row_ptr[i+1])
   // of alpha/pos and its output row, so the parallel sweep is race-free and
   // thread-count invariant.
-  ForEachRowBlocked(n, blocks.get(), kRowGrain, [&](int i) {
-    const int64_t begin = row_ptr[i];
-    const int64_t end = row_ptr[i + 1];
-    if (begin == end) return;
-    double mx = -1e300;
-    for (int64_t k = begin; k < end; ++k) {
-      const double zraw = s[i] + t[cols[k]];
-      sg[k] = zraw > 0.0 ? 1 : 0;
-      const double e = zraw > 0.0 ? zraw : slope * zraw;
-      al[k] = static_cast<float>(e);
-      mx = std::max(mx, e);
-    }
-    double denom = 0.0;
-    for (int64_t k = begin; k < end; ++k) {
-      al[k] = static_cast<float>(std::exp(al[k] - mx));
-      denom += al[k];
-    }
-    float* orow = out->row(i);
-    for (int64_t k = begin; k < end; ++k) {
-      al[k] = static_cast<float>(al[k] / denom);
-      const float* hj = h.row(cols[k]);
-      for (int j = 0; j < d; ++j) orow[j] += al[k] * hj[j];
+  ParallelFor(n, kRowGrain, [&](int64_t i0, int64_t i1) {
+    for (int i = static_cast<int>(i0); i < i1; ++i) {
+      const int64_t begin = row_ptr[i];
+      const int64_t end = row_ptr[i + 1];
+      if (begin == end) continue;
+      double mx = -1e300;
+      for (int64_t k = begin; k < end; ++k) {
+        const double zraw = s[i] + t[cols[k]];
+        sg[k] = zraw > 0.0 ? 1 : 0;
+        const double e = zraw > 0.0 ? zraw : slope * zraw;
+        al[k] = static_cast<float>(e);
+        mx = std::max(mx, e);
+      }
+      double denom = 0.0;
+      for (int64_t k = begin; k < end; ++k) {
+        al[k] = static_cast<float>(std::exp(al[k] - mx));
+        denom += al[k];
+      }
+      float* orow = out->row(i);
+      for (int64_t k = begin; k < end; ++k) {
+        al[k] = static_cast<float>(al[k] / denom);
+        const float* hj = h.row(cols[k]);
+        for (int j = 0; j < d; ++j) orow[j] += al[k] * hj[j];
+      }
     }
   });
 }
@@ -1290,8 +1241,6 @@ void EdgeSoftmaxBackward(const SparseMatrix& adj, float slope,
   const auto& row_ptr = adj.row_ptr();
   const auto& cols = adj.col_idx();
   const bool wh = io.dh != nullptr;
-  // Block-affine when the adjacency carries a partition schedule.
-  const std::shared_ptr<const RowBlocks> blocks = adj.row_blocks();
 
   std::vector<double> ds(n, 0.0);
   std::vector<double> dt(n, 0.0);
@@ -1300,30 +1249,32 @@ void EdgeSoftmaxBackward(const SparseMatrix& adj, float slope,
   // Phase 1 — per-edge pre-activation gradients, owned by the source row
   // (node i owns its edge slice of dz, plus ds[i]). Arithmetic per edge is
   // the serial loop's, including the ascending-k `weighted` and ds sums.
-  ForEachRowBlocked(n, blocks.get(), kRowGrain, [&](int i) {
-    const int64_t begin = row_ptr[i];
-    const int64_t end = row_ptr[i + 1];
-    if (begin == end) return;
-    const float* grow = g.row(i);
-    // dalpha_k = <g_i, h_{j_k}>, then softmax backward.
-    double weighted = 0.0;
-    for (int64_t k = begin; k < end; ++k) {
-      const float* hj = hv.row(cols[k]);
-      double acc = 0.0;
-      for (int j = 0; j < d; ++j) {
-        acc += static_cast<double>(grow[j]) * hj[j];
+  ParallelFor(n, kRowGrain, [&](int64_t i0, int64_t i1) {
+    for (int i = static_cast<int>(i0); i < i1; ++i) {
+      const int64_t begin = row_ptr[i];
+      const int64_t end = row_ptr[i + 1];
+      if (begin == end) continue;
+      const float* grow = g.row(i);
+      // dalpha_k = <g_i, h_{j_k}>, then softmax backward.
+      double weighted = 0.0;
+      for (int64_t k = begin; k < end; ++k) {
+        const float* hj = hv.row(cols[k]);
+        double acc = 0.0;
+        for (int j = 0; j < d; ++j) {
+          acc += static_cast<double>(grow[j]) * hj[j];
+        }
+        dz[k] = acc;
+        weighted += alpha[k] * acc;
       }
-      dz[k] = acc;
-      weighted += alpha[k] * acc;
+      double dsi = 0.0;
+      for (int64_t k = begin; k < end; ++k) {
+        const double de = alpha[k] * (dz[k] - weighted);
+        const double z = pos[k] ? de : slope * de;
+        dz[k] = z;
+        dsi += z;
+      }
+      ds[i] = dsi;
     }
-    double dsi = 0.0;
-    for (int64_t k = begin; k < end; ++k) {
-      const double de = alpha[k] * (dz[k] - weighted);
-      const double z = pos[k] ? de : slope * de;
-      dz[k] = z;
-      dsi += z;
-    }
-    ds[i] = dsi;
   });
 
   // Phase 2 — the dt / dh scatter, partitioned by *destination* node via
@@ -1333,23 +1284,25 @@ void EdgeSoftmaxBackward(const SparseMatrix& adj, float slope,
   // the floats match the naive loop bit-for-bit.
   const std::shared_ptr<const SparseMatrix::IncomingIndex> inc =
       adj.incoming_index();
-  ForEachRowBlocked(n, blocks.get(), kRowGrain, [&](int v) {
-    const int64_t begin = inc->node_ptr[v];
-    const int64_t end = inc->node_ptr[v + 1];
-    double acc = 0.0;
-    float* dhv = wh ? io.dh->row(v) : nullptr;
-    for (int64_t p = begin; p < end; ++p) {
-      const int64_t k = inc->edge[p];
-      acc += dz[k];
-      if (wh) {
-        // Aggregation term: dH_v += alpha * g_i for each incoming i.
-        const float* grow = g.row(inc->src[p]);
-        for (int j = 0; j < d; ++j) {
-          dhv[j] += alpha[k] * grow[j];
+  ParallelFor(n, kRowGrain, [&](int64_t v0, int64_t v1) {
+    for (int v = static_cast<int>(v0); v < v1; ++v) {
+      const int64_t begin = inc->node_ptr[v];
+      const int64_t end = inc->node_ptr[v + 1];
+      double acc = 0.0;
+      float* dhv = wh ? io.dh->row(v) : nullptr;
+      for (int64_t p = begin; p < end; ++p) {
+        const int64_t k = inc->edge[p];
+        acc += dz[k];
+        if (wh) {
+          // Aggregation term: dH_v += alpha * g_i for each incoming i.
+          const float* grow = g.row(inc->src[p]);
+          for (int j = 0; j < d; ++j) {
+            dhv[j] += alpha[k] * grow[j];
+          }
         }
       }
+      dt[v] = acc;
     }
-    dt[v] = acc;
   });
 
   const float* asv = io.a_src->data();
@@ -1357,10 +1310,12 @@ void EdgeSoftmaxBackward(const SparseMatrix& adj, float slope,
   // Phase 3 — per-row a_src/a_dst terms into dh (row-owned).
   if (wh) {
     Tensor& dh = *io.dh;
-    ForEachRowBlocked(n, blocks.get(), kRowGrain, [&](int i) {
-      float* dhr = dh.row(i);
-      for (int j = 0; j < d; ++j) {
-        dhr[j] += static_cast<float>(ds[i] * asv[j] + dt[i] * adv[j]);
+    ParallelFor(n, kRowGrain, [&](int64_t i0, int64_t i1) {
+      for (int i = static_cast<int>(i0); i < i1; ++i) {
+        float* dhr = dh.row(i);
+        for (int j = 0; j < d; ++j) {
+          dhr[j] += static_cast<float>(ds[i] * asv[j] + dt[i] * adv[j]);
+        }
       }
     });
   }

@@ -81,13 +81,8 @@ VarPtr Mean(const VarPtr& a);
 /// parallel, the scalar sum serial in index order), bit-identical to the
 /// kept-serial ScaledCosineLossNaive for any UMGAD_THREADS. When `idx`
 /// contains duplicate rows the backward falls back to the serial scatter.
-///
-/// `blocks` (optional, from the graph partitioner) regroups the pool so
-/// workers sweep rows block-affinely — a cache-locality schedule only,
-/// bit-identical to the flat order for any P / thread count.
 VarPtr ScaledCosineLoss(const VarPtr& recon, const Tensor& target,
-                        std::vector<int> idx, float eta,
-                        std::shared_ptr<const RowBlocks> blocks = nullptr);
+                        std::vector<int> idx, float eta);
 
 /// The seed's fully serial forward+backward loops, kept as the
 /// differential-testing oracle (tests/oracle_harness.h).
@@ -114,11 +109,8 @@ struct EdgeCandidateSet {
 /// row of dz (sources and candidates alias freely across sets), with each
 /// row's contributions applied in the serial loop's (set, candidate)
 /// order. Bit-identical to MaskedEdgeSoftmaxCENaive for any UMGAD_THREADS.
-/// `blocks` optionally makes both phases block-affine (cache schedule
-/// only; same floats).
 VarPtr MaskedEdgeSoftmaxCE(const VarPtr& z,
-                           std::vector<EdgeCandidateSet> sets,
-                           std::shared_ptr<const RowBlocks> blocks = nullptr);
+                           std::vector<EdgeCandidateSet> sets);
 
 /// Kept-serial oracle of MaskedEdgeSoftmaxCE.
 VarPtr MaskedEdgeSoftmaxCENaive(const VarPtr& z,
@@ -138,11 +130,8 @@ VarPtr PairDotBceLoss(const VarPtr& a, const VarPtr& b,
 /// partitions by destination row, merging each row's own (i == v) and
 /// incoming-negative (neg_idx[i] == v) contributions in ascending-i order
 /// — the serial order. Bit-identical to DualContrastiveLossNaive.
-/// `blocks` optionally makes the row sweeps block-affine (cache schedule
-/// only; same floats).
 VarPtr DualContrastiveLoss(const VarPtr& zo, const VarPtr& za,
-                           std::vector<int> neg_idx,
-                           std::shared_ptr<const RowBlocks> blocks = nullptr);
+                           std::vector<int> neg_idx);
 
 /// Kept-serial oracle of DualContrastiveLoss.
 VarPtr DualContrastiveLossNaive(const VarPtr& zo, const VarPtr& za,

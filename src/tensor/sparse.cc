@@ -37,7 +37,7 @@ Status ValidateCsr(int rows, int cols, ConstSpan<int64_t> row_ptr,
   }
   // Shared overflow guard (io_limits.h): the loaders hand this validator
   // attacker-controlled dimensions, and downstream consumers form rows x
-  // cols products (dense bounds, per-block partition bookkeeping), so the
+  // cols products (dense bounds), so the
   // product must fit int64 before any per-row scan runs.
   if (io_limits::CheckedElemCount(rows, cols,
                                   std::numeric_limits<int64_t>::max()) < 0) {
@@ -335,14 +335,6 @@ SparseMatrix::incoming_index() const {
   return std::atomic_load_explicit(&incoming_, std::memory_order_acquire);
 }
 
-void SparseMatrix::AttachRowBlocks(
-    std::shared_ptr<const RowBlocks> blocks) const {
-  UMGAD_CHECK(blocks == nullptr ||
-              static_cast<int64_t>(blocks->block_of.size()) == rows_);
-  std::atomic_store_explicit(&blocks_, std::move(blocks),
-                             std::memory_order_release);
-}
-
 Tensor SparseMatrix::MultiplyTransposed(const Tensor& x) const {
   UMGAD_CHECK_EQ(rows_, x.rows());
   EnsureTransposedIndex();
@@ -353,15 +345,15 @@ Tensor SparseMatrix::MultiplyTransposed(const Tensor& x) const {
   // Row-partitioned over *output* rows (= original columns): each output
   // row is produced by exactly one task in ascending original-row order,
   // so results are bit-identical to MultiplyTransposedNaive and invariant
-  // to UMGAD_THREADS and the schedule (flat or block-affine; square
-  // operators reuse the row schedule for their columns).
-  const std::shared_ptr<const RowBlocks> blocks = row_blocks();
-  ForEachRowBlocked(cols_, blocks.get(), kSpmmRowGrain, [&](int c) {
-    float* yrow = y.row(c);
-    for (int64_t k = t->col_ptr[c]; k < t->col_ptr[c + 1]; ++k) {
-      const float v = t->values[k];
-      const float* xrow = x.row(t->row_idx[k]);
-      for (int j = 0; j < d; ++j) yrow[j] += v * xrow[j];
+  // to UMGAD_THREADS.
+  ParallelFor(cols_, kSpmmRowGrain, [&](int64_t c0, int64_t c1) {
+    for (int c = static_cast<int>(c0); c < c1; ++c) {
+      float* yrow = y.row(c);
+      for (int64_t k = t->col_ptr[c]; k < t->col_ptr[c + 1]; ++k) {
+        const float v = t->values[k];
+        const float* xrow = x.row(t->row_idx[k]);
+        for (int j = 0; j < d; ++j) yrow[j] += v * xrow[j];
+      }
     }
   });
   return y;

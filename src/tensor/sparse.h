@@ -1,7 +1,6 @@
 #ifndef UMGAD_TENSOR_SPARSE_H_
 #define UMGAD_TENSOR_SPARSE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -9,7 +8,6 @@
 
 #include "common/result.h"
 #include "common/span.h"
-#include "common/thread_pool.h"
 #include "tensor/tensor.h"
 
 namespace umgad {
@@ -19,51 +17,6 @@ struct Edge {
   int src = 0;
   int dst = 0;
 };
-
-/// A cache-blocked row schedule derived from a graph partition (built by
-/// src/graph/partition/, attached via SparseMatrix::AttachRowBlocks): every
-/// row belongs to exactly one of `num_blocks` blocks, and `order` lists all
-/// rows grouped by block, ascending within each block. Hot kernels iterate
-/// blocks on the pool instead of flat row ranges (ForEachRowBlocked), so a
-/// worker's working set stays block-local. This is purely an *iteration
-/// schedule*: each row is still produced by exactly one task with its
-/// per-row arithmetic in the unchanged serial order, which keeps blocked
-/// and flat execution bit-identical (the PR 2/4 determinism rules).
-struct RowBlocks {
-  int num_blocks = 0;
-  /// Size num_blocks + 1: block b owns order[block_ptr[b], block_ptr[b+1]).
-  std::vector<int64_t> block_ptr;
-  /// All rows, grouped by block, ascending within each block.
-  std::vector<int> order;
-  /// Size rows: the owning block of each row.
-  std::vector<int> block_of;
-};
-
-/// Runs fn(row) once for every row in [0, n): flat grain-sized row ranges
-/// when `blocks` is null or does not cover n (the classic oversubscribed
-/// schedule), block-affine otherwise (one task per block walking its owned
-/// rows, so a pool lane processes whole blocks). fn must only write
-/// row-exclusive state; per-row work is identical under both schedules, so
-/// results are bit-identical for any UMGAD_THREADS / block count.
-template <typename Fn>
-void ForEachRowBlocked(int64_t n, const RowBlocks* blocks, int64_t grain,
-                       Fn&& fn) {
-  if (blocks != nullptr && blocks->num_blocks > 0 &&
-      static_cast<int64_t>(blocks->block_of.size()) == n) {
-    const RowBlocks& b = *blocks;
-    ParallelFor(b.num_blocks, 1, [&](int64_t p0, int64_t p1) {
-      for (int64_t p = p0; p < p1; ++p) {
-        for (int64_t k = b.block_ptr[p]; k < b.block_ptr[p + 1]; ++k) {
-          fn(b.order[k]);
-        }
-      }
-    });
-    return;
-  }
-  ParallelFor(n, grain, [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) fn(static_cast<int>(i));
-  });
-}
 
 /// Compressed-sparse-row float matrix. Used for adjacency matrices and their
 /// normalised variants; values default to 1.0 for unweighted graphs.
@@ -183,23 +136,6 @@ class SparseMatrix {
   /// The incoming-edge index, building it on first use.
   std::shared_ptr<const IncomingIndex> incoming_index() const;
 
-  /// Attach a cache-blocked row schedule (normally the one VertexPartition
-  /// built for the whole MultiplexGraph — see src/graph/partition/):
-  /// Multiply / MultiplyTransposed and the GAT edge-softmax kernels in
-  /// tensor/ops.cc then iterate rows block-affinely instead of as flat row
-  /// ranges. `blocks->block_of` must cover rows() (square operators reuse
-  /// the same schedule for output columns); null detaches. Logically const
-  /// like the lazy caches — attaching never changes any kernel's floats,
-  /// only its iteration schedule — and published with the same shared_ptr
-  /// atomics, so prewarm-time attachment cannot race readers. Copies drop
-  /// the attachment.
-  void AttachRowBlocks(std::shared_ptr<const RowBlocks> blocks) const;
-
-  /// The attached block schedule, or null when running flat.
-  std::shared_ptr<const RowBlocks> row_blocks() const {
-    return std::atomic_load_explicit(&blocks_, std::memory_order_acquire);
-  }
-
   /// Row sums (weighted degrees) as a length-m vector.
   std::vector<double> RowSums() const;
 
@@ -280,7 +216,6 @@ class SparseMatrix {
   // themselves.
   mutable std::shared_ptr<const TransposedIndex> transposed_;
   mutable std::shared_ptr<const IncomingIndex> incoming_;
-  mutable std::shared_ptr<const RowBlocks> blocks_;
 };
 
 }  // namespace umgad

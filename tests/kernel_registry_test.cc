@@ -100,7 +100,7 @@ bool HasVariant(const KernelSelection& sel, const std::string& name) {
 
 TEST_F(KernelRegistryTest, EveryOpHasANaiveFloorAndADefaultWinner) {
   const auto selections = KernelRegistry::Global()->Selections();
-  ASSERT_EQ(dispatch::kNumKernelOps, 7);
+  ASSERT_EQ(dispatch::kNumKernelOps, 4);
   ASSERT_EQ(static_cast<int>(selections.size()), dispatch::kNumKernelOps);
   // The three dense products each have the naive floor and the portable
   // blocked tier; the weight gradient is an op of its own.

@@ -18,6 +18,7 @@
 #include "core/model_io.h"
 #include "core/umgad.h"
 #include "graph/datasets.h"
+#include "graph/io/io_limits.h"
 #include "oracle_harness.h"
 #include "serve/dynamic_adjacency.h"
 #include "serve/online_scorer.h"
@@ -357,16 +358,22 @@ TEST(ShardRouterTest, StatsCoverEveryCounter) {
   EXPECT_GE(stats.cache_hit_rate, 0.0);
   EXPECT_LE(stats.cache_hit_rate, 1.0);
 
-  int owned_total = 0;
-  ASSERT_EQ(stats.shards.size(), 2u);
-  for (const auto& s : stats.shards) {
-    owned_total += s.owned_nodes;
-    EXPECT_GT(s.owned_nodes, 0) << "degenerate partition";
-    EXPECT_EQ(s.queue_depth, 0);
-    EXPECT_GT(s.queue_peak, 0);
-    EXPECT_EQ(s.update_latency.count, static_cast<int64_t>(updates.size()));
+  // Ownership is v % S, so shard s owns exactly ceil((n - s) / S) nodes.
+  const int n = (*router)->num_nodes();
+  const int num_shards = 2;
+  ASSERT_EQ(stats.shards.size(), static_cast<size_t>(num_shards));
+  for (int s = 0; s < num_shards; ++s) {
+    const auto& shard = stats.shards[s];
+    EXPECT_EQ(shard.owned_nodes, (n - s + num_shards - 1) / num_shards)
+        << "shard " << s;
+    EXPECT_EQ(shard.queue_depth, 0);
+    EXPECT_GT(shard.queue_peak, 0);
+    EXPECT_EQ(shard.update_latency.count,
+              static_cast<int64_t>(updates.size()));
   }
-  EXPECT_EQ(owned_total, (*router)->num_nodes());
+  for (int v = 0; v < n; ++v) {
+    EXPECT_EQ((*router)->shard_of()[v], v % num_shards) << "node " << v;
+  }
   // The human-readable rendering names the headline fields.
   const std::string text = FormatRouterStats(stats);
   EXPECT_NE(text.find("stream-consistent"), std::string::npos);
@@ -439,6 +446,19 @@ TEST(ShardRouterTest, CreateValidatesOptions) {
   options.serve.owned_nodes.assign(Fixture().graph.num_nodes(), 1);
   EXPECT_FALSE(
       ShardRouter::Create(Fixture().trained, Fixture().graph, options).ok());
+
+  // The shard count is capped by min(kMaxShards, num_nodes). Both bounds are
+  // checked before any replica or worker thread exists, so these start none.
+  for (int64_t shards : {int64_t{Fixture().graph.num_nodes()} + 1,
+                         io_limits::kMaxShards + 1}) {
+    options = RouterOptions();
+    options.num_shards = static_cast<int>(shards);
+    auto too_many =
+        ShardRouter::Create(Fixture().trained, Fixture().graph, options);
+    ASSERT_FALSE(too_many.ok()) << "num_shards=" << shards;
+    EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument)
+        << "num_shards=" << shards;
+  }
 
   // Fingerprint mismatches fail the same way the flat scorer's Create does.
   MultiplexGraph other = MakeTiny(124);
