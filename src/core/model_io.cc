@@ -1,10 +1,9 @@
 #include "core/model_io.h"
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <utility>
 
+#include "common/byte_io.h"
 #include "common/string_util.h"
 #include "core/scorer.h"
 #include "graph/io/io_limits.h"
@@ -41,110 +40,12 @@ constexpr uint32_t kMaxConfigBytes = 1 << 16;
 
 // A model tensor axis never exceeds the feature cap (weights are
 // in_dim x out_dim with in_dim <= kMaxFeatures), but hidden_dim is
-// user-chosen, so allow headroom; the byte-level bound stays the Reader's
-// remaining-file-size guard.
+// user-chosen, so allow headroom; the byte-level bound stays the
+// ByteReader's remaining-file-size guard.
 constexpr int64_t kMaxTensorDim = 1 << 24;
 constexpr int64_t kMaxModelTensors = 1 << 20;
 
-bool HostIsLittleEndian() {
-  const uint32_t probe = 1;
-  unsigned char byte;
-  std::memcpy(&byte, &probe, 1);
-  return byte == 1;
-}
-
-class Writer {
- public:
-  explicit Writer(const std::string& path) : out_(path, std::ios::binary) {}
-
-  bool ok() const { return static_cast<bool>(out_); }
-
-  template <typename T>
-  void Pod(T value) {
-    out_.write(reinterpret_cast<const char*>(&value), sizeof(T));
-  }
-
-  void Bytes(const void* data, size_t n) {
-    if (n > 0) out_.write(reinterpret_cast<const char*>(data), n);
-  }
-
- private:
-  std::ofstream out_;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::string& path) : in_(path, std::ios::binary) {
-    if (in_) {
-      in_.seekg(0, std::ios::end);
-      file_size_ = static_cast<int64_t>(in_.tellg());
-      in_.seekg(0, std::ios::beg);
-    }
-  }
-
-  bool open() const { return static_cast<bool>(in_.is_open()); }
-
-  int64_t Remaining() {
-    return file_size_ - static_cast<int64_t>(in_.tellg());
-  }
-
-  template <typename T>
-  Status Pod(T* value, const char* what) {
-    if (!in_.read(reinterpret_cast<char*>(value), sizeof(T))) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    return Status::OK();
-  }
-
-  Status Bytes(void* dst, int64_t n, const char* what) {
-    if (n > Remaining()) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated %s: need %lld bytes, %lld left", what,
-          static_cast<long long>(n), static_cast<long long>(Remaining())));
-    }
-    if (n > 0 && !in_.read(reinterpret_cast<char*>(dst), n)) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    return Status::OK();
-  }
-
-  Status Skip(int64_t n, const char* what) {
-    if (n > Remaining()) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated %s: need %lld bytes, %lld left", what,
-          static_cast<long long>(n), static_cast<long long>(Remaining())));
-    }
-    if (n > 0) in_.seekg(n, std::ios::cur);
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status Array(std::vector<T>* v, int64_t count, const char* what) {
-    // Divide instead of multiplying: count * sizeof(T) could wrap for a
-    // hostile count and slip past the file-size bound into resize().
-    if (count < 0 || count > Remaining() / static_cast<int64_t>(sizeof(T))) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated or corrupt %s: %lld elements declared", what,
-          static_cast<long long>(count)));
-    }
-    v->resize(count);
-    return Bytes(v->empty() ? nullptr : v->data(),
-                 count * static_cast<int64_t>(sizeof(T)), what);
-  }
-
- private:
-  std::ifstream in_;
-  int64_t file_size_ = 0;
-};
-
-Status RequireLittleEndianHost() {
-  if (!HostIsLittleEndian()) {
-    return Status::FailedPrecondition(
-        "umgad model artifacts are little-endian; big-endian hosts are not "
-        "supported");
-  }
-  return Status::OK();
-}
+constexpr char kModelFiles[] = "umgad model artifacts";
 
 uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -155,81 +56,52 @@ uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
   return h;
 }
 
-void WriteConfig(Writer* w, const UmgadConfig& c) {
-  w->Pod<uint32_t>(c.encoder == EncoderKind::kGat ? 0u : 1u);
-  w->Pod<int32_t>(c.hidden_dim);
-  w->Pod<int32_t>(c.encoder_layers);
-  w->Pod<int32_t>(c.decoder_layers);
-  w->Pod<double>(c.mask_ratio);
-  w->Pod<int32_t>(c.mask_repeats);
-  w->Pod<int32_t>(c.subgraph_size);
-  w->Pod<int32_t>(c.num_subgraphs);
-  w->Pod<double>(c.rwr_restart);
-  w->Pod<double>(c.attr_swap_ratio);
-  w->Pod<float>(c.eta);
-  w->Pod<float>(c.alpha);
-  w->Pod<float>(c.beta);
-  w->Pod<float>(c.lambda);
-  w->Pod<float>(c.mu);
-  w->Pod<float>(c.theta);
-  w->Pod<float>(c.epsilon);
-  w->Pod<int32_t>(c.epochs);
-  w->Pod<float>(c.learning_rate);
-  w->Pod<float>(c.weight_decay);
-  w->Pod<int32_t>(c.num_negatives);
-  w->Pod<int32_t>(c.num_score_negatives);
-  w->Pod<uint64_t>(c.seed);
-  const bool bools[8] = {c.use_masking,          c.use_original_view,
-                         c.use_attr_augmented_view,
-                         c.use_subgraph_augmented_view,
-                         c.use_contrastive,      c.use_relation_fusion,
-                         c.use_attribute_recon,  c.use_structure_recon};
-  for (bool b : bools) w->Pod<uint8_t>(b ? 1 : 0);
-}
-
-Status ReadConfig(Reader* r, UmgadConfig* c) {
-  uint32_t encoder = 0;
-  UMGAD_RETURN_IF_ERROR(r->Pod(&encoder, "config.encoder"));
+/// The config block's fields in file order, walked by both Save and Load
+/// so the two cannot drift apart. `field(T* value, const char* what)`
+/// writes or reads one POD; the checks only ever fire on read.
+template <typename FieldFn>
+Status VisitConfig(UmgadConfig* c, const FieldFn& field) {
+  uint32_t encoder = c->encoder == EncoderKind::kGat ? 0u : 1u;
+  UMGAD_RETURN_IF_ERROR(field(&encoder, "config.encoder"));
   if (encoder > 1) {
     return Status::InvalidArgument(
         StrFormat("unknown encoder kind %u in model file", encoder));
   }
   c->encoder = encoder == 0 ? EncoderKind::kGat : EncoderKind::kSgc;
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->hidden_dim, "config.hidden_dim"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->encoder_layers, "config.encoder_layers"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->decoder_layers, "config.decoder_layers"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->mask_ratio, "config.mask_ratio"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->mask_repeats, "config.mask_repeats"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->subgraph_size, "config.subgraph_size"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->num_subgraphs, "config.num_subgraphs"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->rwr_restart, "config.rwr_restart"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->attr_swap_ratio, "config.attr_swap_ratio"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->eta, "config.eta"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->alpha, "config.alpha"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->beta, "config.beta"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->lambda, "config.lambda"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->mu, "config.mu"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->theta, "config.theta"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->epsilon, "config.epsilon"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->epochs, "config.epochs"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->learning_rate, "config.learning_rate"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->weight_decay, "config.weight_decay"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->num_negatives, "config.num_negatives"));
+  UMGAD_RETURN_IF_ERROR(field(&c->hidden_dim, "config.hidden_dim"));
+  UMGAD_RETURN_IF_ERROR(field(&c->encoder_layers, "config.encoder_layers"));
+  UMGAD_RETURN_IF_ERROR(field(&c->decoder_layers, "config.decoder_layers"));
+  UMGAD_RETURN_IF_ERROR(field(&c->mask_ratio, "config.mask_ratio"));
+  UMGAD_RETURN_IF_ERROR(field(&c->mask_repeats, "config.mask_repeats"));
+  UMGAD_RETURN_IF_ERROR(field(&c->subgraph_size, "config.subgraph_size"));
+  UMGAD_RETURN_IF_ERROR(field(&c->num_subgraphs, "config.num_subgraphs"));
+  UMGAD_RETURN_IF_ERROR(field(&c->rwr_restart, "config.rwr_restart"));
+  UMGAD_RETURN_IF_ERROR(field(&c->attr_swap_ratio, "config.attr_swap_ratio"));
+  UMGAD_RETURN_IF_ERROR(field(&c->eta, "config.eta"));
+  UMGAD_RETURN_IF_ERROR(field(&c->alpha, "config.alpha"));
+  UMGAD_RETURN_IF_ERROR(field(&c->beta, "config.beta"));
+  UMGAD_RETURN_IF_ERROR(field(&c->lambda, "config.lambda"));
+  UMGAD_RETURN_IF_ERROR(field(&c->mu, "config.mu"));
+  UMGAD_RETURN_IF_ERROR(field(&c->theta, "config.theta"));
+  UMGAD_RETURN_IF_ERROR(field(&c->epsilon, "config.epsilon"));
+  UMGAD_RETURN_IF_ERROR(field(&c->epochs, "config.epochs"));
+  UMGAD_RETURN_IF_ERROR(field(&c->learning_rate, "config.learning_rate"));
+  UMGAD_RETURN_IF_ERROR(field(&c->weight_decay, "config.weight_decay"));
+  UMGAD_RETURN_IF_ERROR(field(&c->num_negatives, "config.num_negatives"));
   UMGAD_RETURN_IF_ERROR(
-      r->Pod(&c->num_score_negatives, "config.num_score_negatives"));
-  UMGAD_RETURN_IF_ERROR(r->Pod(&c->seed, "config.seed"));
+      field(&c->num_score_negatives, "config.num_score_negatives"));
+  UMGAD_RETURN_IF_ERROR(field(&c->seed, "config.seed"));
   if (c->hidden_dim <= 0 || c->hidden_dim > kMaxTensorDim ||
       c->encoder_layers < 0 || c->decoder_layers < 0) {
     return Status::InvalidArgument("corrupt model config dimensions");
   }
-  bool* bools[8] = {&c->use_masking,          &c->use_original_view,
-                    &c->use_attr_augmented_view,
-                    &c->use_subgraph_augmented_view,
-                    &c->use_contrastive,      &c->use_relation_fusion,
-                    &c->use_attribute_recon,  &c->use_structure_recon};
-  for (bool* b : bools) {
-    uint8_t raw = 0;
-    UMGAD_RETURN_IF_ERROR(r->Pod(&raw, "config.flags"));
+  for (bool* b : {&c->use_masking, &c->use_original_view,
+                  &c->use_attr_augmented_view,
+                  &c->use_subgraph_augmented_view, &c->use_contrastive,
+                  &c->use_relation_fusion, &c->use_attribute_recon,
+                  &c->use_structure_recon}) {
+    uint8_t raw = *b ? 1 : 0;
+    UMGAD_RETURN_IF_ERROR(field(&raw, "config.flags"));
     *b = raw != 0;
   }
   return Status::OK();
@@ -282,8 +154,8 @@ Result<TrainedModel> TrainedModel::FromFitted(const UmgadModel& model,
 }
 
 Status TrainedModel::Save(const std::string& path) const {
-  UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost());
-  Writer w(path);
+  UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost(kModelFiles));
+  ByteWriter w(path);
   if (!w.ok()) {
     return Status::NotFound(StrFormat("cannot open %s for writing",
                                       path.c_str()));
@@ -294,7 +166,12 @@ Status TrainedModel::Save(const std::string& path) const {
   // v2: the config block is length-prefixed so future optional trailing
   // fields stay readable by this build (see the policy note at the top).
   w.Pod<uint32_t>(kConfigCoreBytes);
-  WriteConfig(&w, config_);
+  UmgadConfig config = config_;
+  UMGAD_RETURN_IF_ERROR(
+      VisitConfig(&config, [&w](auto* value, const char* /*what*/) {
+        w.Pod(*value);
+        return Status::OK();
+      }));
 
   w.Pod<int32_t>(fingerprint_.num_nodes);
   w.Pod<int32_t>(fingerprint_.feature_dim);
@@ -320,11 +197,16 @@ Status TrainedModel::Save(const std::string& path) const {
 }
 
 Result<TrainedModel> TrainedModel::Load(const std::string& path) {
-  UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost());
-  Reader r(path);
-  if (!r.open()) {
+  UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost(kModelFiles));
+  // A model is small: read it whole, then parse the bytes in memory.
+  Result<std::shared_ptr<const FileBytes>> file = FileBytes::Read(path);
+  if (!file.ok()) {
     return Status::NotFound(StrFormat("cannot open %s", path.c_str()));
   }
+  ByteReader r((*file)->data(), (*file)->size());
+  auto read_field = [&r](auto* value, const char* what) {
+    return r.Pod(value, what);
+  };
   uint32_t magic = 0;
   uint32_t version = 0;
   uint32_t flags = 0;
@@ -364,12 +246,12 @@ Result<TrainedModel> TrainedModel::Load(const std::string& path) {
           "corrupt model: absurd config block of %u bytes declared",
           config_bytes));
     }
-    UMGAD_RETURN_IF_ERROR(ReadConfig(&r, &out.config_));
+    UMGAD_RETURN_IF_ERROR(VisitConfig(&out.config_, read_field));
     UMGAD_RETURN_IF_ERROR(
         r.Skip(config_bytes - kConfigCoreBytes, "config trailing fields"));
   } else {
     // v1: fixed-size config block, no prefix.
-    UMGAD_RETURN_IF_ERROR(ReadConfig(&r, &out.config_));
+    UMGAD_RETURN_IF_ERROR(VisitConfig(&out.config_, read_field));
   }
 
   GraphFingerprint& fp = out.fingerprint_;
@@ -416,9 +298,7 @@ Result<TrainedModel> TrainedModel::Load(const std::string& path) {
     std::vector<float> data;
     UMGAD_RETURN_IF_ERROR(
         r.Array(&data, static_cast<int64_t>(rows) * cols, "weight data"));
-    Tensor tensor(rows, cols);
-    std::memcpy(tensor.data(), data.data(), data.size() * sizeof(float));
-    out.weights_.push_back(std::move(tensor));
+    out.weights_.emplace_back(rows, cols, data);
   }
 
   uint32_t trailer = 0;

@@ -1,13 +1,13 @@
 #include "graph/io/binary_format.h"
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
-#include <limits>
+#include <vector>
 
+#include "common/byte_io.h"
 #include "common/string_util.h"
-#include "graph/io/binary_layout.h"
 #include "graph/io/io_limits.h"
+#include "tensor/sparse.h"
 
 namespace umgad {
 
@@ -16,150 +16,22 @@ const char kTextGraphExtension[] = "txt";
 
 namespace {
 
-// Layout constants (magic/version/flags/alignment) are shared with the
-// zero-copy mapped reader via binary_layout.h.
-using binfmt::kFlagHasLabels;
-using binfmt::kMagic;
-using binfmt::kSectionAlign;
-using binfmt::kTrailerMagic;
-using binfmt::kVersion;
+// The v3 layout (docs/FORMATS.md). v3 zero-pads to kSectionAlign before
+// each relation's row_ptr block and before the attribute block, so every
+// bulk array sits at a naturally aligned offset — the precondition for
+// ParseGraphImage's in-place views.
+constexpr uint32_t kMagic = 0x42474D55;         // 'U' 'M' 'G' 'B'
+constexpr uint32_t kTrailerMagic = 0x444E4547;  // 'G' 'E' 'N' 'D'
+constexpr uint32_t kVersion = 3;
+constexpr uint32_t kFlagHasLabels = 1u << 0;
+constexpr int64_t kSectionAlign = 8;
 
-bool HostIsLittleEndian() {
-  const uint32_t probe = 1;
-  unsigned char byte;
-  std::memcpy(&byte, &probe, 1);
-  return byte == 1;
-}
-
-class Writer {
- public:
-  explicit Writer(const std::string& path)
-      : out_(path, std::ios::binary) {}
-
-  bool ok() const { return static_cast<bool>(out_); }
-
-  template <typename T>
-  void Pod(T value) {
-    out_.write(reinterpret_cast<const char*>(&value), sizeof(T));
-    written_ += sizeof(T);
-  }
-
-  void Bytes(const void* data, size_t n) {
-    if (n > 0) out_.write(reinterpret_cast<const char*>(data), n);
-    written_ += static_cast<int64_t>(n);
-  }
-
-  void String(const std::string& s) {
-    Pod<uint32_t>(static_cast<uint32_t>(s.size()));
-    Bytes(s.data(), s.size());
-  }
-
-  /// Zero-pads to the next kSectionAlign boundary (v3 array alignment).
-  void Align() {
-    static const char zeros[kSectionAlign] = {};
-    const int64_t pad = (kSectionAlign - written_ % kSectionAlign) %
-                        kSectionAlign;
-    Bytes(zeros, static_cast<size_t>(pad));
-  }
-
- private:
-  std::ofstream out_;
-  int64_t written_ = 0;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::string& path)
-      : in_(path, std::ios::binary) {
-    if (in_) {
-      in_.seekg(0, std::ios::end);
-      file_size_ = static_cast<int64_t>(in_.tellg());
-      in_.seekg(0, std::ios::beg);
-    }
-  }
-
-  bool open() const { return static_cast<bool>(in_.is_open()); }
-
-  /// Remaining unread bytes; bounds every array allocation so a corrupt
-  /// element count cannot OOM — it fails the availability check instead.
-  int64_t Remaining() {
-    return file_size_ - static_cast<int64_t>(in_.tellg());
-  }
-
-  template <typename T>
-  Status Pod(T* value, const char* what) {
-    if (!in_.read(reinterpret_cast<char*>(value), sizeof(T))) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    return Status::OK();
-  }
-
-  Status Bytes(void* dst, int64_t n, const char* what) {
-    if (n > Remaining()) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated %s: need %lld bytes, %lld left", what,
-          static_cast<long long>(n), static_cast<long long>(Remaining())));
-    }
-    if (n > 0 && !in_.read(reinterpret_cast<char*>(dst), n)) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    return Status::OK();
-  }
-
-  Status String(std::string* s, const char* what) {
-    uint32_t len = 0;
-    UMGAD_RETURN_IF_ERROR(Pod(&len, what));
-    if (static_cast<int64_t>(len) > io_limits::kMaxNameLen) {
-      return Status::InvalidArgument(StrFormat("oversized %s", what));
-    }
-    s->resize(len);
-    return Bytes(s->empty() ? nullptr : &(*s)[0], len, what);
-  }
-
-  /// Skips v3 alignment padding (bytes the writer's Align() emitted).
-  Status Align(const char* what) {
-    const int64_t pos = static_cast<int64_t>(in_.tellg());
-    const int64_t pad = (kSectionAlign - pos % kSectionAlign) % kSectionAlign;
-    if (pad > Remaining()) {
-      return Status::InvalidArgument(StrFormat("truncated %s", what));
-    }
-    in_.seekg(pad, std::ios::cur);
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status Array(std::vector<T>* v, int64_t count, const char* what) {
-    // Divide instead of multiplying: count * sizeof(T) could wrap for a
-    // hostile count and slip past the file-size bound into resize().
-    if (count < 0 ||
-        count > Remaining() / static_cast<int64_t>(sizeof(T))) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated or corrupt %s: %lld elements declared", what,
-          static_cast<long long>(count)));
-    }
-    v->resize(count);
-    return Bytes(v->empty() ? nullptr : v->data(),
-                 count * static_cast<int64_t>(sizeof(T)), what);
-  }
-
- private:
-  std::ifstream in_;
-  int64_t file_size_ = 0;
-};
-
-Status RequireLittleEndianHost() {
-  if (!HostIsLittleEndian()) {
-    return Status::FailedPrecondition(
-        "umgad binary graph files are little-endian; big-endian hosts are "
-        "not supported");
-  }
-  return Status::OK();
-}
+constexpr char kGraphFiles[] = "umgad binary graph files";
 
 }  // namespace
 
 Status SaveGraphBinary(const MultiplexGraph& graph, const std::string& path) {
-  UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost());
+  UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost(kGraphFiles));
   // The writer enforces the same name cap the reader does — otherwise a
   // programmatically named graph could save fine yet be unloadable.
   auto check_name = [](const std::string& name) -> Status {
@@ -174,7 +46,7 @@ Status SaveGraphBinary(const MultiplexGraph& graph, const std::string& path) {
   for (int r = 0; r < graph.num_relations(); ++r) {
     UMGAD_RETURN_IF_ERROR(check_name(graph.relation_name(r)));
   }
-  Writer w(path);
+  ByteWriter w(path);
   if (!w.ok()) return Status::IoError("cannot open " + path + " for writing");
 
   w.Pod(kMagic);
@@ -191,14 +63,14 @@ Status SaveGraphBinary(const MultiplexGraph& graph, const std::string& path) {
     w.Pod<uint64_t>(static_cast<uint64_t>(layer.nnz()));
     // row_ptr lands 8-aligned; col_idx ((N+1) int64s later) inherits the
     // alignment, and values only needs 4. Same invariant for attributes.
-    w.Align();
+    w.Align(kSectionAlign);
     w.Bytes(layer.row_ptr().data(),
             layer.row_ptr().size() * sizeof(int64_t));
     w.Bytes(layer.col_idx().data(), layer.col_idx().size() * sizeof(int));
     w.Bytes(layer.values().data(), layer.values().size() * sizeof(float));
   }
 
-  w.Align();
+  w.Align(kSectionAlign);
   const Tensor& x = graph.attributes();
   w.Bytes(x.data(), static_cast<size_t>(x.size()) * sizeof(float));
   if (graph.has_labels()) {
@@ -210,10 +82,13 @@ Status SaveGraphBinary(const MultiplexGraph& graph, const std::string& path) {
   return Status::OK();
 }
 
-Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
-  UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost());
-  Reader in(path);
-  if (!in.open()) return Status::IoError("cannot open " + path);
+Result<MultiplexGraph> ParseGraphImage(const std::string& path,
+                                       const unsigned char* data,
+                                       int64_t size,
+                                       std::shared_ptr<const void> keepalive,
+                                       PrefetchFn prefetch) {
+  UMGAD_RETURN_IF_ERROR(RequireLittleEndianHost(kGraphFiles));
+  ByteReader in(data, size);
 
   uint32_t magic = 0;
   uint32_t version = 0;
@@ -235,7 +110,7 @@ Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
   }
 
   std::string name;
-  UMGAD_RETURN_IF_ERROR(in.String(&name, "name"));
+  UMGAD_RETURN_IF_ERROR(in.String(&name, io_limits::kMaxNameLen, "name"));
   uint64_t nodes = 0;
   uint64_t features = 0;
   uint64_t relations = 0;
@@ -263,7 +138,8 @@ Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
   std::vector<std::string> rel_names;
   for (uint64_t r = 0; r < relations; ++r) {
     std::string rel_name;
-    UMGAD_RETURN_IF_ERROR(in.String(&rel_name, "relation name"));
+    UMGAD_RETURN_IF_ERROR(
+        in.String(&rel_name, io_limits::kMaxNameLen, "relation name"));
     for (const std::string& seen : rel_names) {
       if (seen == rel_name) {
         return Status::InvalidArgument("duplicate relation name '" +
@@ -272,34 +148,49 @@ Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
     }
     uint64_t nnz = 0;
     UMGAD_RETURN_IF_ERROR(in.Pod(&nnz, "nnz"));
-    UMGAD_RETURN_IF_ERROR(in.Align("relation section"));
-    std::vector<int64_t> row_ptr;
-    std::vector<int> col_idx;
-    std::vector<float> values;
+    UMGAD_RETURN_IF_ERROR(in.Align(kSectionAlign, "relation section"));
+    ConstSpan<int64_t> row_ptr;
+    ConstSpan<int> col_idx;
+    ConstSpan<float> values;
     UMGAD_RETURN_IF_ERROR(
-        in.Array(&row_ptr, static_cast<int64_t>(nodes) + 1, "row_ptr"));
+        in.ArrayView(&row_ptr, static_cast<int64_t>(nodes) + 1, "row_ptr"));
     UMGAD_RETURN_IF_ERROR(
-        in.Array(&col_idx, static_cast<int64_t>(nnz), "col_idx"));
+        in.ArrayView(&col_idx, static_cast<int64_t>(nnz), "col_idx"));
     UMGAD_RETURN_IF_ERROR(
-        in.Array(&values, static_cast<int64_t>(nnz), "values"));
-    UMGAD_ASSIGN_OR_RETURN(
-        SparseMatrix layer,
-        SparseMatrix::FromCsr(n, n, std::move(row_ptr), std::move(col_idx),
-                              std::move(values)));
+        in.ArrayView(&values, static_cast<int64_t>(nnz), "values"));
+    if (prefetch != nullptr) {
+      // Exactly what the CSR validation scan reads — row_ptr and col_idx
+      // sit back to back. The values section is never read here.
+      prefetch(row_ptr.data(),
+               reinterpret_cast<const unsigned char*>(col_idx.end()) -
+                   reinterpret_cast<const unsigned char*>(row_ptr.data()));
+    }
+    UMGAD_ASSIGN_OR_RETURN(SparseMatrix layer,
+                           SparseMatrix::FromBorrowedCsr(
+                               n, n, row_ptr, col_idx, values, keepalive));
     layers.push_back(std::move(layer));
     rel_names.push_back(std::move(rel_name));
   }
 
-  UMGAD_RETURN_IF_ERROR(in.Align("attribute section"));
-  Tensor x(n, d);
-  UMGAD_RETURN_IF_ERROR(in.Bytes(
-      x.data(), static_cast<int64_t>(x.size()) * sizeof(float),
-      "attribute matrix"));
+  UMGAD_RETURN_IF_ERROR(in.Align(kSectionAlign, "attribute section"));
+  ConstSpan<float> attr;
+  UMGAD_RETURN_IF_ERROR(in.ArrayView(
+      &attr, static_cast<int64_t>(nodes) * d, "attribute matrix"));
+  Tensor x = Tensor::FromBorrowed(attr.data(), n, d, keepalive);
 
   std::vector<int> labels;
   if (flags & kFlagHasLabels) {
+    // Labels are copied (4 bytes per node): labels() is consumed as a
+    // std::vector across metrics/eval, and the copy is negligible next to
+    // the CSR + attribute sections that stay borrowed.
+    ConstSpan<int> label_view;
     UMGAD_RETURN_IF_ERROR(
-        in.Array(&labels, static_cast<int64_t>(nodes), "labels"));
+        in.ArrayView(&label_view, static_cast<int64_t>(nodes), "labels"));
+    if (prefetch != nullptr) {
+      prefetch(label_view.data(),
+               static_cast<int64_t>(label_view.size() * sizeof(int)));
+    }
+    labels = label_view.ToVector();
   }
 
   uint32_t trailer = 0;
@@ -315,10 +206,16 @@ Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
 
   // kTrustSymmetry: the writer only serialises graphs that passed the full
   // factory checks, and every element-level CSR invariant was re-validated
-  // above — see LayerChecks.
+  // above (FromBorrowedCsr) — see LayerChecks.
   return MultiplexGraph::Create(name, std::move(x), std::move(layers),
                                 std::move(rel_names), std::move(labels),
                                 LayerChecks::kTrustSymmetry);
+}
+
+Result<MultiplexGraph> LoadGraphBinary(const std::string& path) {
+  UMGAD_ASSIGN_OR_RETURN(std::shared_ptr<const FileBytes> bytes,
+                         FileBytes::Read(path));
+  return ParseGraphImage(path, bytes->data(), bytes->size(), bytes);
 }
 
 bool LooksLikeBinaryGraph(const std::string& path) {

@@ -52,7 +52,9 @@ Result<MultiplexGraph> LoadDataset(const std::string& path_or_name,
   if (FileExists(path_or_name)) {
     if (LooksLikeBinaryGraph(path_or_name)) {
       if (options.prefer_mmap) {
-        return LoadGraphMapped(path_or_name);
+        UMGAD_ASSIGN_OR_RETURN(MappedGraph mapped,
+                               MappedGraph::Load(path_or_name));
+        return mapped.TakeGraph();
       }
       return LoadGraphBinary(path_or_name);
     }

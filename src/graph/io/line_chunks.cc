@@ -1,22 +1,16 @@
 #include "graph/io/line_chunks.h"
 
 #include <cstring>
-#include <fstream>
+
+#include "common/byte_io.h"
 
 namespace umgad {
 
 Status ReadFileToString(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  in.seekg(0, std::ios::beg);
-  if (size < 0) return Status::IoError("cannot stat " + path);
-  out->resize(static_cast<size_t>(size));
-  if (size > 0 && !in.read(&(*out)[0], size)) {
-    return Status::IoError("short read from " + path);
-  }
-  return Status::OK();
+  return ReadWholeFile(path, [out](size_t n) {
+    out->resize(n);
+    return &(*out)[0];
+  });
 }
 
 std::vector<ByteRange> SplitNewlineAligned(const char* data, size_t size,

@@ -47,22 +47,21 @@ class MappedFile {
   int64_t size_;
 };
 
-/// True when this platform can mmap and the UMGAD_NO_MMAP env knob (set to
-/// anything but "0"/empty) does not disable it. Checked per call, so tests
-/// can toggle the knob at runtime.
+/// True when this platform can mmap (POSIX). Elsewhere MappedGraph::Load
+/// falls back to the copying loader.
 bool MmapSupported();
 
 /// A `.umgb` graph loaded through a file mapping: the CSR arrays and the
 /// attribute matrix are *views* into the mapped bytes (zero copy; labels —
 /// 4 bytes per node — are copied so `labels()` can stay a vector), with the
-/// mapping kept alive by the views themselves. Validation is identical to
-/// the copying loader's: every section is bounded by the physical file size
-/// before use, header counts are capped, the CSR invariants are checked
-/// (SparseMatrix::FromBorrowedCsr), and the graph-level factory re-checks
-/// shapes and symmetry — a corrupt file fails with a Status either way.
+/// mapping kept alive by the views themselves. The bytes go through
+/// ParseGraphImage, the same parser LoadGraphBinary runs over its owned
+/// buffer, so validation is identical by construction: every section is
+/// bounded by the physical file size before use, header counts are capped,
+/// the CSR invariants are checked, and a corrupt file fails with a Status.
 ///
-/// When the platform cannot map (or UMGAD_NO_MMAP disables it), Load falls
-/// back to the copying binary loader and reports mapped() == false.
+/// On platforms that cannot map, Load falls back to the copying binary
+/// loader and reports mapped() == false.
 class MappedGraph {
  public:
   static Result<MappedGraph> Load(const std::string& path);
@@ -73,9 +72,9 @@ class MappedGraph {
   MultiplexGraph TakeGraph() { return std::move(graph_); }
 
   /// False when the copying fallback path produced the graph.
-  bool mapped() const { return mapped_; }
+  bool mapped() const { return file_ != nullptr; }
   /// Size of the backing file in bytes; 0 when the copying fallback ran.
-  int64_t file_bytes() const { return file_bytes_; }
+  int64_t file_bytes() const { return file_ == nullptr ? 0 : file_->size(); }
   /// Bytes of the mapping resident in memory right now (see
   /// MappedFile::ResidentBytes); 0 when the copying fallback ran.
   int64_t resident_bytes() const {
@@ -85,13 +84,7 @@ class MappedGraph {
  private:
   MultiplexGraph graph_;
   std::shared_ptr<const MappedFile> file_;
-  bool mapped_ = false;
-  int64_t file_bytes_ = 0;
 };
-
-/// Convenience wrapper: MappedGraph::Load + TakeGraph. This is what
-/// LoadDataset's `prefer_mmap` option and `umgad_cli --mmap` call.
-Result<MultiplexGraph> LoadGraphMapped(const std::string& path);
 
 }  // namespace umgad
 

@@ -694,6 +694,16 @@ TEST(LoadDatasetTest, DatasetDirRedirectsRegisteredNames) {
   std::remove(file.c_str());
 }
 
+TEST(LoadDatasetTest, DirectoryIsAStatusNotACrash) {
+  // A directory opens as a stream and can seek to a size near INT64_MAX;
+  // every whole-file reader must refuse it instead of sizing a buffer.
+  const std::string dir = ::testing::TempDir();
+  EXPECT_FALSE(LoadDataset(dir).ok());
+  EXPECT_EQ(LoadGraphBinary(dir).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ImportEdgeList(dir, EdgeListOptions{}).status().code(),
+            StatusCode::kIoError);
+}
+
 // ------------------------- FromCsr validation -----------------------------
 
 TEST(FromCsrTest, RejectsBrokenInvariants) {

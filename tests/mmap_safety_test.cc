@@ -3,13 +3,13 @@
 // handed out — across file deletion, double loads, wrapper destruction, and
 // any destruction order; writes can never reach the mapping (the borrowed
 // tensor rejects mutable access, the pages themselves are PROT_READ, and
-// mutable_attributes() is copy-on-write); and the UMGAD_NO_MMAP knob drops
-// to the copying loader with an identical graph. The resident-bytes meter
-// is pinned too: a mapped load must not materialise the attribute section.
+// mutable_attributes() is copy-on-write); and the copying loader, which
+// parses an owned buffer with the same parser, keeps that buffer private
+// to the graph. The resident-bytes meter is pinned too: a mapped load must
+// not materialise the attribute section.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -112,25 +112,36 @@ TEST(MmapSafetyTest, MutableAttributesIsCopyOnWrite) {
   std::remove(path.c_str());
 }
 
-TEST(MmapSafetyTest, NoMmapKnobFallsBackToCopyingLoader) {
-#if defined(__unix__) || defined(__APPLE__)
-  const std::string path = TempPath("umgad_mmap_knob");
+TEST(MmapSafetyTest, CopyingLoaderBorrowsAPrivateBuffer) {
+  // LoadGraphBinary runs the mapped loader's parser over an owned buffer:
+  // the graph borrows that buffer exactly as it would a mapping, but the
+  // buffer is a private copy — rewriting or deleting the file cannot reach
+  // the loaded graph, and the buffer outlives the graph through any layer
+  // still holding it.
+  const std::string path = TempPath("umgad_copy_private");
   const MultiplexGraph reference = MakeTiny(5);
   ASSERT_TRUE(SaveGraphBinary(reference, path).ok());
-  ASSERT_EQ(setenv("UMGAD_NO_MMAP", "1", 1), 0);
-  EXPECT_FALSE(MmapSupported());
-  Result<MappedGraph> fallback = MappedGraph::Load(path);
-  ASSERT_TRUE(fallback.ok());
-  EXPECT_FALSE(fallback->mapped());
-  EXPECT_EQ(fallback->resident_bytes(), 0);
-  EXPECT_FALSE(fallback->graph().attributes().borrowed());
-  ExpectGraphsBitIdentical("fallback", fallback->graph(), reference);
-  ASSERT_EQ(unsetenv("UMGAD_NO_MMAP"), 0);
-  EXPECT_TRUE(MmapSupported());
-  std::remove(path.c_str());
-#else
-  GTEST_SKIP() << "env knobs are POSIX-only here";
-#endif
+  Result<MultiplexGraph> loaded = LoadGraphBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->attributes().borrowed());
+  EXPECT_TRUE(loaded->layer(0).borrowed());
+  ASSERT_TRUE(SaveGraphBinary(MakeTiny(6), path).ok());
+  ExpectGraphsBitIdentical("after the file was rewritten", *loaded,
+                           reference);
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  ExpectGraphsBitIdentical("after the file was deleted", *loaded, reference);
+
+  SparseMatrix layer;
+  {
+    MultiplexGraph graph = std::move(*loaded);
+    layer = graph.layer(0);
+    Tensor& attrs = graph.mutable_attributes();
+    EXPECT_FALSE(graph.attributes().borrowed());
+    attrs.at(0, 0) = 1234.5f;
+    // Graph dies here; the layer's keepalive still holds the buffer.
+  }
+  EXPECT_EQ(layer.row_ptr(), reference.layer(0).row_ptr());
+  EXPECT_EQ(layer.col_idx(), reference.layer(0).col_idx());
 }
 
 #if defined(POSIX_FADV_DONTNEED)

@@ -36,7 +36,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,6 +55,7 @@
 #include "serve/online_scorer.h"
 #include "serve/serve_metrics.h"
 #include "serve/shard_router.h"
+#include "serve/update_stream.h"
 #include "tensor/dispatch/registry.h"
 
 namespace umgad {
@@ -119,10 +119,10 @@ int Usage() {
       "inspect --kernels shows what is registered and selected.\n"
       "\n"
       "load flags (any command that loads a graph): --mmap maps .umgb\n"
-      "inputs read-only (zero-copy; UMGAD_NO_MMAP=1 forces the copying\n"
-      "fallback), --header auto|always|never controls edge-list header-row\n"
-      "detection, --serial-import disables chunked parallel parsing (the\n"
-      "loaded graph is bit-identical either way).\n"
+      "inputs read-only (zero-copy; without it the file is read into memory\n"
+      "and parsed by the same code), --header auto|always|never controls\n"
+      "edge-list header-row detection, --serial-import disables chunked\n"
+      "parallel parsing (the loaded graph is bit-identical either way).\n"
       "\n"
       "serve applies a stream of edge updates (\"+ src dst rel\" inserts,\n"
       "\"- src dst rel\" removes; '#' comments) with incremental re-scoring\n"
@@ -532,9 +532,9 @@ int CmdTrain(const CliArgs& args) {
   return 0;
 }
 
-/// Reads the --stream input ("+|- src dst rel" lines) and hands every
-/// update to `apply` in order. Returns the number of updates delivered,
-/// or -1 after reporting a parse/apply error to stderr.
+/// Reads the --stream input (serve/update_stream.h) and hands every update
+/// to `apply` in order. Returns the number of updates delivered, or -1
+/// after reporting a parse/apply error to stderr.
 int64_t ReplayStream(const CliArgs& args,
                      const std::function<Status(const serve::EdgeUpdate&)>&
                          apply) {
@@ -548,32 +548,13 @@ int64_t ReplayStream(const CliArgs& args,
     }
     in = &stream_file;
   }
-  int64_t delivered = 0;
-  int line_no = 0;
-  std::string line;
-  while (std::getline(*in, line)) {
-    ++line_no;
-    const size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream fields(line);
-    std::string op;
-    serve::EdgeUpdate update;
-    if (!(fields >> op >> update.src >> update.dst >> update.relation) ||
-        (op != "+" && op != "-")) {
-      std::cerr << args.stream << ":" << line_no
-                << ": expected '+|- src dst rel', got: " << line << "\n";
-      return -1;
-    }
-    update.add = op == "+";
-    const Status status = apply(update);
-    if (!status.ok()) {
-      std::cerr << args.stream << ":" << line_no << ": " << status.ToString()
-                << "\n";
-      return -1;
-    }
-    ++delivered;
+  const Result<int64_t> delivered =
+      serve::ReplayUpdateStream(*in, args.stream, apply);
+  if (!delivered.ok()) {
+    std::cerr << delivered.status().message() << "\n";
+    return -1;
   }
-  return delivered;
+  return *delivered;
 }
 
 /// The --shards path: the same stream replayed through a ShardRouter.
