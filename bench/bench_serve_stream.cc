@@ -2,9 +2,8 @@
 // and streams randomized edge inserts/removals through ApplyEdgeUpdate,
 // reporting sustained edges/s, p50/p99 per-update re-score latency, dirty
 // row counts, and cache hit rates — against the cost of the from-scratch
-// serial re-score (RescoreFullNaive) the incremental path replaces. Run
-// with an unlimited row cache and with a 25% hot-node budget to expose the
-// memory/latency trade. Numbers land in docs/PERFORMANCE.md.
+// serial re-score (RescoreFullNaive) the incremental path replaces.
+// Numbers land in docs/PERFORMANCE.md.
 //
 // Part two stands up the ShardRouter over DG-Fin and sweeps the shard
 // count {1, 2, 4}, replaying the stream kShardRepeats times per count and
@@ -34,7 +33,6 @@ namespace {
 using serve::DynamicAdjacency;
 using serve::EdgeUpdate;
 using serve::OnlineScorer;
-using serve::ServeOptions;
 
 std::vector<EdgeUpdate> MakeStream(const MultiplexGraph& graph, int count,
                                    uint64_t seed) {
@@ -252,32 +250,22 @@ int Main() {
 
   const std::vector<EdgeUpdate> updates = MakeStream(graph, stream_len, 31);
 
-  // The cost the incremental path replaces: one serial full re-score.
-  ServeOptions unlimited;
-  Result<std::unique_ptr<OnlineScorer>> probe =
-      OnlineScorer::Create(*trained, graph, unlimited);
-  UMGAD_CHECK(probe.ok());
+  Result<std::unique_ptr<OnlineScorer>> scorer =
+      OnlineScorer::Create(*trained, graph);
+  UMGAD_CHECK(scorer.ok());
+  // The cost the incremental path replaces: one serial full re-score
+  // (RescoreFullNaive leaves the scorer's state untouched).
   WallTimer naive_timer;
-  (void)(*probe)->RescoreFullNaive();
+  (void)(*scorer)->RescoreFullNaive();
   const double naive_ms = naive_timer.ElapsedMillis();
 
+  const StreamResult r = RunStream(scorer->get(), updates);
   TablePrinter table;
-  table.SetHeader({"Cache budget", "Edges/s", "p50 (us)", "p99 (us)",
-                   "Dirty rows/update", "Hit rate"});
-  for (int budget : {-1, graph.num_nodes() / 4}) {
-    ServeOptions options;
-    options.cache_budget_nodes = budget;
-    Result<std::unique_ptr<OnlineScorer>> scorer =
-        OnlineScorer::Create(*trained, graph, options);
-    UMGAD_CHECK(scorer.ok());
-    const StreamResult r = RunStream(scorer->get(), updates);
-    table.AddRow({budget < 0 ? "unlimited"
-                             : StrFormat("%d nodes (25%%)", budget),
-                  FormatFloat(r.edges_per_sec, 0), FormatFloat(r.p50_us, 1),
-                  FormatFloat(r.p99_us, 1),
-                  FormatFloat(r.mean_dirty_rows, 1),
-                  FormatFloat(100.0 * r.hit_rate, 1) + "%"});
-  }
+  table.SetHeader({"Edges/s", "p50 (us)", "p99 (us)", "Dirty rows/update",
+                   "Hit rate"});
+  table.AddRow({FormatFloat(r.edges_per_sec, 0), FormatFloat(r.p50_us, 1),
+                FormatFloat(r.p99_us, 1), FormatFloat(r.mean_dirty_rows, 1),
+                FormatFloat(100.0 * r.hit_rate, 1) + "%"});
   table.Print(std::cout);
   std::cout << "\nFull serial re-score (the replaced cost): "
             << FormatFloat(naive_ms, 2) << " ms ("

@@ -1,5 +1,6 @@
 #include "core/model_io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -285,6 +286,7 @@ Result<TrainedModel> TrainedModel::Load(const std::string& path) {
         "corrupt model: %lld weight tensors declared",
         static_cast<long long>(tensor_count)));
   }
+  int32_t max_stored_dim = 0;
   for (int64_t t = 0; t < tensor_count; ++t) {
     int32_t rows = 0;
     int32_t cols = 0;
@@ -299,6 +301,16 @@ Result<TrainedModel> TrainedModel::Load(const std::string& path) {
     UMGAD_RETURN_IF_ERROR(
         r.Array(&data, static_cast<int64_t>(rows) * cols, "weight data"));
     out.weights_.emplace_back(rows, cols, data);
+    max_stored_dim = std::max({max_stored_dim, rows, cols});
+  }
+  // Every view stores hidden-sized weights, so a hidden_dim wider than all
+  // of them is corrupt. Refused here, before BuildViews allocates views of
+  // that width only to find their shapes do not match.
+  if (out.config_.hidden_dim > max_stored_dim) {
+    return Status::InvalidArgument(StrFormat(
+        "corrupt model: config hidden_dim %d exceeds every stored weight "
+        "dimension (max %d)",
+        out.config_.hidden_dim, max_stored_dim));
   }
 
   uint32_t trailer = 0;

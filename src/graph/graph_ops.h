@@ -43,9 +43,33 @@ std::vector<int> KHopNeighborhood(const SparseMatrix& adj, int start,
 
 /// Uniform negative sampling: `count` node ids that are NOT neighbours of
 /// `src` in `adj` (and not `src` itself). Used by the edge-reconstruction
-/// softmax denominators (Eq. 7).
-std::vector<int> SampleNonNeighbors(const SparseMatrix& adj, int src,
-                                    int count, Rng* rng);
+/// softmax denominators (Eq. 7). `Adj` is any adjacency with `rows()` and
+/// `Has(i, j)` — the static SparseMatrix at training and batch scoring, the
+/// serving DynamicAdjacency — so every caller makes the same accept/reject
+/// sequence of draws.
+template <typename Adj>
+std::vector<int> SampleNonNeighbors(const Adj& adj, int src, int count,
+                                    Rng* rng) {
+  std::vector<int> out;
+  out.reserve(count);
+  const int n = adj.rows();
+  int attempts = 0;
+  const int max_attempts = count * 50 + 100;
+  while (static_cast<int>(out.size()) < count && attempts < max_attempts) {
+    ++attempts;
+    const int cand = static_cast<int>(rng->UniformInt(n));
+    if (cand == src || adj.Has(src, cand)) continue;
+    out.push_back(cand);
+  }
+  // Dense rows can exhaust attempts; pad with arbitrary distinct nodes so
+  // callers always get `count` candidates.
+  int fallback = 0;
+  while (static_cast<int>(out.size()) < count && fallback < n) {
+    if (fallback != src) out.push_back(fallback);
+    ++fallback;
+  }
+  return out;
+}
 
 }  // namespace umgad
 

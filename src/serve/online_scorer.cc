@@ -7,6 +7,7 @@
 #include "common/thread_pool.h"
 #include "core/scorer.h"
 #include "core/views.h"
+#include "graph/graph_ops.h"
 #include "nn/gcn.h"
 #include "tensor/autograd.h"
 
@@ -50,29 +51,6 @@ uint64_t NegativeStreamSeed(uint64_t model_seed, int view, int rel, int node) {
   h = MixSeed(h, static_cast<uint64_t>(rel));
   h = MixSeed(h, static_cast<uint64_t>(node));
   return h;
-}
-
-/// graph_ops.cc SampleNonNeighbors against the dynamic adjacency: the same
-/// rejection walk and deterministic fallback pad.
-std::vector<int> SampleNonNeighborsDyn(const DynamicAdjacency& adj, int src,
-                                       int count, Rng* rng) {
-  std::vector<int> out;
-  out.reserve(count);
-  const int n = adj.rows();
-  int attempts = 0;
-  const int max_attempts = count * 50 + 100;
-  while (static_cast<int>(out.size()) < count && attempts < max_attempts) {
-    ++attempts;
-    const int cand = static_cast<int>(rng->UniformInt(n));
-    if (cand == src || adj.Has(src, cand)) continue;
-    out.push_back(cand);
-  }
-  int fallback = 0;
-  while (static_cast<int>(out.size()) < count && fallback < n) {
-    if (fallback != src) out.push_back(fallback);
-    ++fallback;
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -229,13 +207,10 @@ class NodeSet {
   std::vector<int> items_;
 };
 
-/// What one incremental pass records as it goes: its row-cache lookups
-/// and, under a cache budget, the valid flags of the non-resident rows it
-/// recomputed — the only rows the pass must clear again before returning.
+/// The row-cache lookups of one incremental pass.
 struct PassLog {
   int64_t hits = 0;
   int64_t misses = 0;
-  std::vector<uint8_t*> nonresident;
 };
 
 /// One standardised component of the fused combine.
@@ -392,8 +367,6 @@ struct OnlineScorer::Impl {
   int r_count = 0;
   std::vector<DynamicAdjacency> adj;
   std::vector<ViewPlan> plans;
-  bool budgeted = false;
-  std::vector<uint8_t> resident;
   // Owner mask (ServeOptions::owned_nodes): empty = every node owned.
   // Component maintenance (negatives, residuals, attribute distances) and
   // the global Combine are restricted to owned nodes; stage rows stay
@@ -437,7 +410,6 @@ struct OnlineScorer::Impl {
                           PassLog* log) const;
   void Combine(EngineState& st, Pass pass) const;
   void FullCompute(EngineState* st, Pass pass) const;
-  void EvictNonResident(EngineState* st) const;
   Status ApplyBatch(const std::vector<EdgeUpdate>& updates,
                     ServeStats* stats);
 };
@@ -601,10 +573,7 @@ void OnlineScorer::Impl::EnsureRow(const ChainPlan& plan, ChainState& cs,
     if (log != nullptr) ++log->hits;
     return;
   }
-  if (log != nullptr) {
-    ++log->misses;
-    if (!resident[i]) log->nonresident.push_back(&ss.valid[i]);
-  }
+  if (log != nullptr) ++log->misses;
   const StagePlan& sp = plan.stages[stage];
   switch (sp.kind) {
     case StageKind::kProject:
@@ -644,7 +613,7 @@ std::vector<int> OnlineScorer::Impl::DrawNegatives(int view, int rel,
   const int degree = adj[rel].degree(node);
   if (count <= 0 || n - 1 - degree <= 0) return {};
   Rng rng(NegativeStreamSeed(config.seed, view, rel, node));
-  return SampleNonNeighborsDyn(adj[rel], node, count, &rng);
+  return SampleNonNeighbors(adj[rel], node, count, &rng);
 }
 
 void OnlineScorer::Impl::ComputeResidualNode(EngineState& st, int view,
@@ -838,23 +807,6 @@ void OnlineScorer::Impl::FullCompute(EngineState* st, Pass pass) const {
   Combine(*st, pass);
 }
 
-void OnlineScorer::Impl::EvictNonResident(EngineState* st) const {
-  // Once, after Create's full pass; an update clears only the rows its own
-  // PassLog recorded.
-  if (!budgeted) return;
-  for (ViewState& vs : st->views) {
-    for (auto* chains : {&vs.attr_chains, &vs.struct_chains}) {
-      for (ChainState& cs : *chains) {
-        for (StageState& ss : cs.stages) {
-          for (int i = 0; i < n; ++i) {
-            if (!resident[i]) ss.valid[i] = 0;
-          }
-        }
-      }
-    }
-  }
-}
-
 Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
                                       ServeStats* stats) {
   if (updates.empty()) return Status::OK();
@@ -1031,7 +983,6 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
   // relation average once per view.
   log.hits = 0;
   log.misses = 0;
-  log.nonresident.clear();
   for (size_t w = 0; w < plans.size(); ++w) {
     const ViewPlan& vp = plans[w];
     ViewState& vs = state.views[w];
@@ -1105,9 +1056,6 @@ Status OnlineScorer::Impl::ApplyBatch(const std::vector<EdgeUpdate>& updates,
   }
 
   Combine(state, Pass::kServe);
-  // Every non-resident row was invalid before this pass, so the rows it
-  // recomputed are exactly the ones to drop again.
-  for (uint8_t* valid : log.nonresident) *valid = 0;
   if (stats != nullptr) {
     stats->cache_hits += log.hits;
     stats->cache_misses += log.misses;
@@ -1196,34 +1144,8 @@ Result<std::unique_ptr<OnlineScorer>> OnlineScorer::Create(
     }
   }
 
-  // Hot-node cache: the budget keeps the highest-(total-)degree nodes'
-  // rows resident between updates.
-  const int budget = options.cache_budget_nodes;
-  impl.budgeted = budget >= 0 && budget < impl.n;
-  if (impl.budgeted) {
-    std::vector<int64_t> total_degree(impl.n, 0);
-    for (int r = 0; r < impl.r_count; ++r) {
-      for (int i = 0; i < impl.n; ++i) {
-        total_degree[i] += impl.adj[r].degree(i);
-      }
-    }
-    std::vector<int> order(impl.n);
-    for (int i = 0; i < impl.n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](int l, int r) {
-      if (total_degree[l] != total_degree[r]) {
-        return total_degree[l] > total_degree[r];
-      }
-      return l < r;
-    });
-    impl.resident.assign(impl.n, 0);
-    for (int k = 0; k < budget; ++k) impl.resident[order[k]] = 1;
-  } else {
-    impl.resident.assign(impl.n, 1);
-  }
-
   impl.state = impl.MakeEmptyState();
   impl.FullCompute(&impl.state, Impl::Pass::kServe);
-  impl.EvictNonResident(&impl.state);
   return scorer;
 }
 

@@ -13,18 +13,8 @@
 namespace umgad {
 namespace serve {
 
-/// Tuning knobs for an OnlineScorer instance.
+/// Options of an OnlineScorer instance.
 struct ServeOptions {
-  /// Hot-node row-cache budget: how many nodes keep their per-stage
-  /// intermediate rows (projections, propagations, attention outputs)
-  /// resident between updates. The resident set is the `cache_budget_nodes`
-  /// highest-degree nodes at load time (ties broken by index); rows of
-  /// other nodes are recomputed on demand and dropped after each update
-  /// pass. Negative (the default) keeps every node resident. The budget
-  /// changes memory and latency only — never scores (asserted in
-  /// tests/serve_oracle_test.cc).
-  int cache_budget_nodes = -1;
-
   /// Owner mask for sharded serving (ShardRouter). Empty (the default)
   /// means "this scorer owns every node" — the flat, self-contained mode.
   /// When set (size num_nodes, non-zero = owned), the scorer becomes a
@@ -124,11 +114,12 @@ std::vector<double> CombineComponentsNaive(
 /// The engine unrolls every active view's GMAE encoder/decoder stack into
 /// per-row stages whose arithmetic replicates the batch kernels
 /// bit-for-bit (MatMulNaive rows, SparseMatrix::Multiply rows, the
-/// edge-softmax GAT row walk, SimplexWeightedSum fusion). An edge update
-/// invalidates exactly the rows whose inputs changed — degree
-/// renormalisation touches the closed neighbourhood of the endpoints, and
-/// each propagation stage widens the dirty front by one hop — and lazy
-/// row-level recomputation restores them.
+/// edge-softmax GAT row walk, SimplexWeightedSum fusion). Every stage keeps
+/// all n rows resident in a row cache. An edge update invalidates exactly
+/// the rows whose inputs changed — degree renormalisation touches the
+/// closed neighbourhood of the endpoints, and each propagation stage widens
+/// the dirty front by one hop — and lazy row-level recomputation restores
+/// them.
 ///
 /// Determinism policy (two score paths, both exact):
 ///  - Incremental path (scores(), ApplyEdgeUpdate): structure-residual
@@ -137,7 +128,7 @@ std::vector<double> CombineComponentsNaive(
 ///    bit-identical to RescoreFullNaive() — a from-scratch serial batch
 ///    recompute with the same stage kernels and streams, but per-column
 ///    residual dots and the reference combine — after any update
-///    sequence, for any UMGAD_THREADS / arena / cache-budget setting
+///    sequence, for any UMGAD_THREADS / arena setting
 ///    (tests/serve_oracle_test.cc). With num_score_negatives == 0 the
 ///    incremental scores also equal the training-time scores bit-for-bit.
 ///  - Batch-replay path (BatchReplayScores): TrainedModel::Score over the

@@ -233,11 +233,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     return Status::InvalidArgument(
         "ShardRouter needs queue_capacity >= 1 and max_burst >= 1");
   }
-  if (!options.serve.owned_nodes.empty()) {
-    return Status::InvalidArgument(
-        "RouterOptions::serve.owned_nodes is derived per shard; leave it "
-        "empty");
-  }
 
   std::unique_ptr<ShardRouter> router(new ShardRouter());
   router->impl_ = std::make_unique<Impl>();
@@ -261,7 +256,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
   // full pass (stage rows are global; components owner-only).
   impl.shards.resize(options.num_shards);
   for (int s = 0; s < options.num_shards; ++s) {
-    ServeOptions so = options.serve;
+    ServeOptions so;
     so.owned_nodes.assign(impl.n, 0);
     for (int i : impl.owned_lists[s]) so.owned_nodes[i] = 1;
     UMGAD_ASSIGN_OR_RETURN(std::unique_ptr<OnlineScorer> scorer,

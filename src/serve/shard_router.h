@@ -30,9 +30,6 @@ struct RouterOptions {
   /// update is dropped from *all* shards (counted as dropped) — dropping
   /// must be all-or-nothing or the shard replicas would diverge.
   bool drop_when_full = false;
-  /// Per-shard scorer options (cache budget). owned_nodes is overwritten
-  /// with each shard's ownership mask.
-  ServeOptions serve;
 };
 
 /// One published score vector. Immutable once published; readers hold it

@@ -1,9 +1,9 @@
 // Corruption fuzzing for the .umgm model loader, on the io_fuzz_test
 // pattern: every strict prefix of a valid artifact, seeded byte flips, and
-// hostile tensor-count and shape fields at computed offsets must come back
-// from TrainedModel::Load as a Status or as a model — never a crash, a
-// hang, or an allocation larger than the file. model_io_test.cc holds the
-// hand-written corruption matrix; this sweeps the space around it.
+// hostile tensor-count, shape and hidden_dim fields at computed offsets must
+// come back from TrainedModel::Load as a Status or as a model — never a
+// crash, a hang, or an allocation larger than the file. model_io_test.cc
+// holds the hand-written corruption matrix; this sweeps the space around it.
 
 #include <cstdint>
 #include <cstdio>
@@ -104,6 +104,8 @@ class ModelIoFuzzTest : public ::testing::Test {
   static size_t TensorCountOffset() {
     return 12 + 4 + 116 + 12 + 8 * 2 + 8 + 41;
   }
+  /// The config's i32 hidden_dim: header 12, config length 4, encoder 4.
+  static size_t HiddenDimOffset() { return 12 + 4 + 4; }
 
   std::string path_;
   const std::string* artifact_ = nullptr;
@@ -193,6 +195,18 @@ TEST_F(ModelIoFuzzTest, HostileTensorShapeIsAStatusNotAnAllocation) {
   std::memcpy(&rows, artifact_->data() + first_shape_at, sizeof(rows));
   EXPECT_FALSE(LoadAndCheck(Patched(*artifact_, first_shape_at, rows + 1),
                             "first tensor one row taller"));
+}
+
+TEST_F(ModelIoFuzzTest, HostileHiddenDimIsAStatusAtLoad) {
+  int32_t hidden = 0;
+  std::memcpy(&hidden, artifact_->data() + HiddenDimOffset(), sizeof(hidden));
+  ASSERT_EQ(hidden, 4);
+  // Inside the per-field cap, but wider than any stored weight: Load must
+  // refuse it before anything sizes views from the config.
+  for (const int32_t hostile : {int32_t{1} << 20, int32_t{1} << 24}) {
+    EXPECT_FALSE(LoadAndCheck(Patched(*artifact_, HiddenDimOffset(), hostile),
+                              "hidden_dim " + std::to_string(hostile)));
+  }
 }
 
 }  // namespace

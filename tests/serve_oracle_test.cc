@@ -2,14 +2,13 @@
 // of randomized edge inserts/removals, the incrementally maintained scores
 // must be bit-identical to RescoreFullNaive() — a from-scratch serial
 // recompute with the same kernels — for every UMGAD_THREADS x arena-mode
-// combination (the grid comes from tests/oracle_harness.h) and every
-// cache-budget setting. Also covers the batch-replay path against the
-// fitted model's scores, the num_score_negatives == 0 equivalence with
-// training-time scoring, batched bursts (ApplyEdgeUpdates ==
-// one-at-a-time == full rescore, with prefix rollback on error),
-// ApplyEdgeUpdate's error paths, the DynamicAdjacency bit-compatibility
-// contract, and the fused z-score combine against its Standardize
-// reference.
+// combination (the grid comes from tests/oracle_harness.h). Also covers
+// the batch-replay path against the fitted model's scores, the
+// num_score_negatives == 0 equivalence with training-time scoring, batched
+// bursts (ApplyEdgeUpdates == one-at-a-time == full rescore, with prefix
+// rollback on error), ApplyEdgeUpdate's error paths, the DynamicAdjacency
+// bit-compatibility contract, and the fused z-score combine against its
+// Standardize reference.
 
 #include <cstring>
 #include <string>
@@ -36,7 +35,6 @@ using serve::DynamicAdjacency;
 using serve::EdgeUpdate;
 using serve::OnlineScorer;
 using serve::RawViewComponents;
-using serve::ServeOptions;
 using serve::ViewComponents;
 using ::umgad::testing::OracleSweep;
 
@@ -115,10 +113,8 @@ void ExpectSameBits(const std::vector<double>& got,
 /// (initial scores plus the scores after each update), asserting
 /// incremental == full-naive at every step.
 std::vector<std::vector<double>> RunSequence(
-    const std::vector<EdgeUpdate>& updates, const ServeOptions& options,
-    const std::string& label) {
-  auto scorer = OnlineScorer::Create(Fixture().trained, Fixture().graph,
-                                     options);
+    const std::vector<EdgeUpdate>& updates, const std::string& label) {
+  auto scorer = OnlineScorer::Create(Fixture().trained, Fixture().graph);
   UMGAD_CHECK(scorer.ok());
   std::vector<std::vector<double>> trace;
   trace.push_back((*scorer)->scores());
@@ -148,7 +144,7 @@ TEST(ServeOracleTest, IncrementalMatchesFullRescoreAcrossThreadsAndArena) {
   SetNumThreads(1);
   SetArenaEnabled(true);
   const std::vector<std::vector<double>> reference =
-      RunSequence(updates, ServeOptions(), "reference");
+      RunSequence(updates, "reference");
 
   for (bool arena : sweep.arena_modes) {
     for (int threads : sweep.thread_counts) {
@@ -156,7 +152,7 @@ TEST(ServeOracleTest, IncrementalMatchesFullRescoreAcrossThreadsAndArena) {
       SetNumThreads(threads);
       const std::string label = "threads=" + std::to_string(threads) +
                                 " arena=" + (arena ? "1" : "0");
-      const auto trace = RunSequence(updates, ServeOptions(), label);
+      const auto trace = RunSequence(updates, label);
       ASSERT_EQ(trace.size(), reference.size());
       for (size_t k = 0; k < trace.size(); ++k) {
         ExpectSameBits(trace[k], reference[k],
@@ -166,57 +162,6 @@ TEST(ServeOracleTest, IncrementalMatchesFullRescoreAcrossThreadsAndArena) {
   }
   SetNumThreads(1);
   SetArenaEnabled(prev_arena);
-}
-
-TEST(ServeOracleTest, CacheBudgetNeverChangesScores) {
-  const std::vector<EdgeUpdate> updates =
-      MakeUpdateSequence(Fixture().graph, 8, /*seed=*/47);
-  const auto unlimited = RunSequence(updates, ServeOptions(), "unlimited");
-
-  const int n = Fixture().graph.num_nodes();
-  for (int budget : {0, n / 4}) {
-    ServeOptions options;
-    options.cache_budget_nodes = budget;
-    auto scorer =
-        OnlineScorer::Create(Fixture().trained, Fixture().graph, options);
-    ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
-    const std::string label = "budget=" + std::to_string(budget);
-    ExpectSameBits((*scorer)->scores(), unlimited[0], label + " init");
-    for (size_t k = 0; k < updates.size(); ++k) {
-      ASSERT_TRUE((*scorer)->ApplyEdgeUpdate(updates[k]).ok());
-      ExpectSameBits((*scorer)->scores(), unlimited[k + 1],
-                     label + " step " + std::to_string(k));
-    }
-    // A bounded cache must actually have been recomputing evicted rows.
-    EXPECT_GT((*scorer)->stats().cache_misses, 0) << label;
-  }
-}
-
-TEST(ServeOracleTest, BudgetPassLeavesNoNonResidentRowValid) {
-  // With nothing resident, every pass must drop every row it recomputed:
-  // an update, its reversal, and the update again must find the same cold
-  // cache twice, so the first and third passes look up and miss exactly
-  // the same rows.
-  ServeOptions options;
-  options.cache_budget_nodes = 0;
-  auto scorer =
-      OnlineScorer::Create(Fixture().trained, Fixture().graph, options);
-  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
-  const EdgeUpdate update = MakeUpdateSequence(Fixture().graph, 1, 53)[0];
-  EdgeUpdate reverse = update;
-  reverse.add = !update.add;
-  auto apply = [&](const EdgeUpdate& u) {
-    const serve::ServeStats before = (*scorer)->stats();
-    EXPECT_TRUE((*scorer)->ApplyEdgeUpdate(u).ok());
-    const serve::ServeStats& after = (*scorer)->stats();
-    return std::make_pair(after.cache_hits - before.cache_hits,
-                          after.cache_misses - before.cache_misses);
-  };
-  const auto first = apply(update);
-  apply(reverse);
-  const auto third = apply(update);
-  EXPECT_GT(first.second, 0);
-  EXPECT_EQ(first, third);
 }
 
 // ------------------------- score-path equivalences ------------------------

@@ -442,10 +442,6 @@ TEST(ShardRouterTest, CreateValidatesOptions) {
   options.max_burst = 0;
   EXPECT_FALSE(
       ShardRouter::Create(Fixture().trained, Fixture().graph, options).ok());
-  options = RouterOptions();
-  options.serve.owned_nodes.assign(Fixture().graph.num_nodes(), 1);
-  EXPECT_FALSE(
-      ShardRouter::Create(Fixture().trained, Fixture().graph, options).ok());
 
   // The shard count is capped by min(kMaxShards, num_nodes). Both bounds are
   // checked before any replica or worker thread exists, so these start none.
